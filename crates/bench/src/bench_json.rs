@@ -580,42 +580,6 @@ pub fn emit_crash_recovery_json(
     f.write_all(render_crash_recovery_json(records).as_bytes())
 }
 
-/// One timed replay of EXP-REPLAY: the same traffic replayed by the
-/// sequential workspace kernel or the parallel wavefront kernel at a
-/// given thread width.
-#[derive(Debug, Clone)]
-pub struct ReplayBenchRecord {
-    /// Network label, e.g. `balanced(5,4)`.
-    pub network: String,
-    /// Number of processors (leaves).
-    pub processors: usize,
-    /// Requests replayed.
-    pub requests: usize,
-    /// Which kernel ran (`sequential` / `parallel`).
-    pub kernel: String,
-    /// Worker threads of the parallel kernel (`1` for sequential).
-    pub threads: usize,
-    /// Batch makespan in slots (identical across kernels by the
-    /// differential guarantee).
-    pub makespan_slots: u64,
-    /// Wall-clock seconds for the replay.
-    pub wall_seconds: f64,
-    /// Throughput ratio against the sequential kernel on the same
-    /// instance (`None` on the sequential rows themselves).
-    pub speedup_vs_sequential: Option<f64>,
-}
-
-impl ReplayBenchRecord {
-    /// Replayed requests per wall-clock second.
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.requests as f64 / self.wall_seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// One estimator cell of EXP-REPLAY: an epoch stream priced by the
 /// congestion-bound estimator, with a sampled subset replayed exactly to
 /// validate the bracket property.
@@ -644,43 +608,15 @@ pub struct ReplayEstimateRecord {
     pub exact_wall_seconds: Option<f64>,
 }
 
-/// Render the replay-scaling benchmark document (`BENCH_replay.json`).
-pub fn render_replay_json(
-    records: &[ReplayBenchRecord],
-    estimates: &[ReplayEstimateRecord],
-    speedup: Option<f64>,
-) -> String {
+/// Render the replay benchmark document (`BENCH_replay.json`).
+pub fn render_replay_json(estimates: &[ReplayEstimateRecord]) -> String {
     let emitted_at = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
     let all_bracket = estimates.iter().all(|e| e.violations == 0);
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"replay_scaling\",\n");
     out.push_str(&format!("  \"emitted_at_unix\": {emitted_at},\n"));
-    out.push_str(&format!(
-        "  \"speedup_parallel_vs_sequential\": {},\n",
-        speedup.map(json_f64).unwrap_or_else(|| "null".to_string())
-    ));
     out.push_str(&format!("  \"estimator_brackets_validated\": {all_bracket},\n"));
-    out.push_str("  \"instances\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"network\": \"{}\", \"processors\": {}, \"requests\": {}, \
-             \"kernel\": \"{}\", \"threads\": {}, \"makespan_slots\": {}, \
-             \"wall_seconds\": {}, \"requests_per_sec\": {}, \
-             \"speedup_vs_sequential\": {}}}{}\n",
-            json_escape(&r.network),
-            r.processors,
-            r.requests,
-            json_escape(&r.kernel),
-            r.threads,
-            r.makespan_slots,
-            json_f64(r.wall_seconds),
-            json_f64(r.requests_per_sec()),
-            r.speedup_vs_sequential.map(json_f64).unwrap_or_else(|| "null".to_string()),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"estimator\": [\n");
     for (i, r) in estimates.iter().enumerate() {
         out.push_str(&format!(
@@ -704,15 +640,10 @@ pub fn render_replay_json(
     out
 }
 
-/// Render and write the replay-scaling document to `path`.
-pub fn emit_replay_json(
-    path: &str,
-    records: &[ReplayBenchRecord],
-    estimates: &[ReplayEstimateRecord],
-    speedup: Option<f64>,
-) -> std::io::Result<()> {
+/// Render and write the replay document to `path`.
+pub fn emit_replay_json(path: &str, estimates: &[ReplayEstimateRecord]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
-    f.write_all(render_replay_json(records, estimates, speedup).as_bytes())
+    f.write_all(render_replay_json(estimates).as_bytes())
 }
 
 /// One timed serve-loop run of the online strategy.
@@ -1216,23 +1147,6 @@ mod tests {
 
     #[test]
     fn replay_document_shape_is_stable() {
-        let seq = ReplayBenchRecord {
-            network: "balanced(5,4)".into(),
-            processors: 625,
-            requests: 60_000,
-            kernel: "sequential".into(),
-            threads: 1,
-            makespan_slots: 41_446,
-            wall_seconds: 0.4,
-            speedup_vs_sequential: None,
-        };
-        let par = ReplayBenchRecord {
-            kernel: "parallel".into(),
-            threads: 2,
-            wall_seconds: 0.1,
-            speedup_vs_sequential: Some(4.0),
-            ..seq.clone()
-        };
         let est = ReplayEstimateRecord {
             network: "balanced(5,4)".into(),
             processors: 625,
@@ -1244,16 +1158,14 @@ mod tests {
             wall_seconds: 1.5,
             exact_wall_seconds: None,
         };
-        let doc = render_replay_json(&[seq, par], &[est], Some(4.0));
+        let doc = render_replay_json(&[est.clone(), est]);
         assert!(doc.contains("\"bench\": \"replay_scaling\""));
-        assert!(doc.contains("\"speedup_parallel_vs_sequential\": 4.000000"));
         assert!(doc.contains("\"estimator_brackets_validated\": true"));
-        assert!(doc.contains("\"speedup_vs_sequential\": null"));
-        // 60k requests in 0.4 s → 150k requests/sec on the sequential row.
-        assert!(doc.contains("\"requests_per_sec\": 150000.000000"));
+        assert!(doc.contains("\"mean_gap_ratio\": 9.500000"));
         assert!(doc.contains("\"exact_wall_seconds\": null"));
-        assert_eq!(doc.matches("\"threads\"").count(), 2);
-        assert_eq!(doc.matches("\"sampled_epochs\"").count(), 1);
+        assert!(!doc.contains("\"instances\""));
+        assert_eq!(doc.matches("\"sampled_epochs\"").count(), 2);
+        assert_eq!(doc.matches("},\n").count(), 1);
     }
 
     #[test]
@@ -1269,7 +1181,7 @@ mod tests {
             wall_seconds: 0.01,
             exact_wall_seconds: Some(0.02),
         };
-        let doc = render_replay_json(&[], &[est], None);
+        let doc = render_replay_json(&[est]);
         assert!(doc.contains("\"estimator_brackets_validated\": false"));
         assert!(doc.contains("\"exact_wall_seconds\": 0.020000"));
     }

@@ -1,19 +1,12 @@
-//! EXP-REPLAY: scaling of the parallel wavefront replay kernel and the
-//! congestion-bound estimator.
+//! EXP-REPLAY: the congestion-bound estimator at scale.
 //!
-//! Part 1 replays identical traffic through the sequential workspace
-//! kernel and the event-driven parallel wavefront kernel
-//! ([`hbn_sim::simulate_parallel_with`]) at thread widths 1 and 2 across
-//! the topology matrix, asserting bit-for-bit agreement and recording
-//! the throughput ratio (the kernels agree by the differential suite;
-//! here the agreement doubles as a release-mode sanity check).
-//!
-//! Part 2 runs the estimator at 100x the exact-replay bench scale: a
-//! 100-epoch stream over `balanced(5,4)` — 6M requests, far past what
-//! exact slot simulation can price per-PR — bounded in `O(|V| + nnz)`
-//! per epoch, with every k-th epoch replayed exactly to validate that
+//! Runs the estimator at 100x the exact-replay bench scale: a 100-epoch
+//! stream over `balanced(5,4)` — 6M requests, far past what exact slot
+//! simulation can price per-PR — bounded in `O(|V| + nnz)` per epoch,
+//! with every k-th epoch replayed exactly to validate that
 //! `lower ≤ makespan ≤ upper` on each sample. A violation aborts the
-//! experiment.
+//! experiment. (Exact-kernel throughput against the reference kernel is
+//! EXP-SIM's job, `exp_simulator_throughput`.)
 //!
 //! Emits `BENCH_replay.json` (quick mode: `HBN_EXP_QUICK=1` shrinks the
 //! volumes, same shape).
@@ -22,136 +15,20 @@
 
 use hbn_baselines::{ExtendedNibbleStrategy, Strategy};
 use hbn_bench::{
-    emit_replay_json, exit_on_estimate_violations, exp_quick, ReplayBenchRecord,
-    ReplayEstimateRecord, Table,
+    emit_replay_json, exit_on_estimate_violations, exp_quick, ReplayEstimateRecord, Table,
 };
-use hbn_load::Placement;
-use hbn_sim::{
-    estimate_makespan, expand_shuffled, simulate_parallel_with, simulate_with, ParSimWorkspace,
-    SimConfig, SimResult, SimWorkspace,
-};
+use hbn_sim::{estimate_makespan, expand_shuffled, simulate_with, SimConfig, SimWorkspace};
 use hbn_topology::generators::{balanced, BandwidthProfile};
-use hbn_topology::Network;
 use hbn_workload::generators as wgen;
-use hbn_workload::AccessMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Time one sequential replay with a reused workspace, after one warmup
-/// replay that fills the high-water buffers.
-fn time_sequential(
-    ws: &mut SimWorkspace,
-    net: &Network,
-    m: &AccessMatrix,
-    placement: &Placement,
-    trace: &[hbn_sim::Request],
-) -> (SimResult, f64) {
-    simulate_with(ws, net, m, placement, trace, SimConfig::default()).expect("routable");
-    let start = Instant::now();
-    let sim = simulate_with(ws, net, m, placement, trace, SimConfig::default()).expect("routable");
-    (sim, start.elapsed().as_secs_f64())
-}
-
-/// Time one parallel replay at a fixed thread width, same warmup shape.
-fn time_parallel(
-    ws: &mut ParSimWorkspace,
-    net: &Network,
-    m: &AccessMatrix,
-    placement: &Placement,
-    trace: &[hbn_sim::Request],
-) -> (SimResult, f64) {
-    simulate_parallel_with(ws, net, m, placement, trace, SimConfig::default()).expect("routable");
-    let start = Instant::now();
-    let sim = simulate_parallel_with(ws, net, m, placement, trace, SimConfig::default())
-        .expect("routable");
-    (sim, start.elapsed().as_secs_f64())
-}
-
-fn kernel_scaling(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
-    println!("EXP-REPLAY — parallel wavefront kernel vs sequential workspace kernel\n");
-    let instances: Vec<(&str, usize, u32, usize, usize)> = if exp_quick() {
-        vec![("balanced(4,3)", 4, 3, 512, 6_000)]
-    } else {
-        vec![
-            ("balanced(4,3)", 4, 3, 512, 15_000),
-            ("balanced(5,3)", 5, 3, 512, 30_000),
-            ("balanced(5,4)", 5, 4, 512, 60_000),
-        ]
-    };
-    let mut t = Table::new([
-        "network",
-        "procs",
-        "requests",
-        "kernel",
-        "threads",
-        "makespan",
-        "wall (ms)",
-        "requests/sec",
-        "speedup",
-    ]);
-    let mut headline = None;
-
-    for (label, branching, height, objects, requests) in instances {
-        let net = balanced(branching, height, BandwidthProfile::Uniform);
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = wgen::zipf_read_mostly(&net, objects, requests, 0.9, 0.2, &mut rng);
-        let trace = expand_shuffled(&m, &mut rng);
-        let placement = ExtendedNibbleStrategy::default().place(&net, &m);
-
-        let mut seq_ws = SimWorkspace::new();
-        let (seq, seq_secs) = time_sequential(&mut seq_ws, &net, &m, &placement, &trace);
-        let mut row = |kernel: &str, threads: usize, sim: &SimResult, secs: f64| {
-            let speedup = (kernel == "parallel").then(|| seq_secs / secs.max(1e-12));
-            let rec = ReplayBenchRecord {
-                network: label.to_string(),
-                processors: net.n_processors(),
-                requests: trace.len(),
-                kernel: kernel.into(),
-                threads,
-                makespan_slots: sim.makespan,
-                wall_seconds: secs,
-                speedup_vs_sequential: speedup,
-            };
-            t.row([
-                label.to_string(),
-                net.n_processors().to_string(),
-                trace.len().to_string(),
-                kernel.into(),
-                threads.to_string(),
-                sim.makespan.to_string(),
-                format!("{:.2}", secs * 1e3),
-                format!("{:.0}", rec.requests_per_sec()),
-                speedup.map_or("-".into(), |s| format!("{s:.2}x")),
-            ]);
-            records.push(rec);
-            speedup
-        };
-        row("sequential", 1, &seq, seq_secs);
-
-        headline = None; // the largest instance's best width wins
-        for threads in [1usize, 2] {
-            let mut ws = ParSimWorkspace::with_threads(threads);
-            let (par, par_secs) = time_parallel(&mut ws, &net, &m, &placement, &trace);
-            assert_eq!(par, seq, "kernels must agree on {label} at {threads} threads");
-            let speedup = row("parallel", threads, &par, par_secs);
-            if speedup > headline {
-                headline = speedup;
-            }
-        }
-    }
-    println!("{}", t.render());
-    if let Some(s) = headline {
-        println!("parallel vs sequential replay throughput (largest instance): {s:.2}x\n");
-    }
-    headline
-}
-
 /// One estimator cell: an `epochs`-long stream of fresh zipf matrices,
 /// each priced by the bounds in `O(|V| + nnz)`; every `sample_every`-th
-/// epoch is replayed exactly (parallel kernel) and must fall inside its
-/// bounds. When `time_exact_twin`, the whole stream is also replayed
-/// exactly to show what the estimator saves.
+/// epoch is replayed exactly and must fall inside its bounds. When
+/// `time_exact_twin`, the whole stream is also replayed exactly to show
+/// what the estimator saves.
 #[allow(clippy::too_many_arguments)]
 fn estimator_cell(
     label: &str,
@@ -165,7 +42,7 @@ fn estimator_cell(
 ) -> ReplayEstimateRecord {
     let net = balanced(branching, height, BandwidthProfile::Uniform);
     let config = SimConfig::default();
-    let mut pw = ParSimWorkspace::new();
+    let mut ws = SimWorkspace::new();
     let mut sampled = 0usize;
     let mut violations = 0usize;
     let mut gap_sum = 0.0f64;
@@ -178,8 +55,8 @@ fn estimator_cell(
         gap_sum += bounds.gap_ratio();
         if epoch % sample_every == 0 {
             let trace = expand_shuffled(&m, &mut rng);
-            let exact = simulate_parallel_with(&mut pw, &net, &m, &placement, &trace, config)
-                .expect("routable");
+            let exact =
+                simulate_with(&mut ws, &net, &m, &placement, &trace, config).expect("routable");
             sampled += 1;
             if !bounds.brackets(exact.makespan) {
                 violations += 1;
@@ -200,8 +77,7 @@ fn estimator_cell(
             let m = wgen::zipf_read_mostly(&net, objects, requests_per_epoch, 0.9, 0.2, &mut rng);
             let placement = ExtendedNibbleStrategy::default().place(&net, &m);
             let trace = expand_shuffled(&m, &mut rng);
-            simulate_parallel_with(&mut pw, &net, &m, &placement, &trace, config)
-                .expect("routable");
+            simulate_with(&mut ws, &net, &m, &placement, &trace, config).expect("routable");
         }
         start.elapsed().as_secs_f64()
     });
@@ -267,10 +143,9 @@ fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
 }
 
 fn main() {
-    let mut records = Vec::new();
-    let speedup = kernel_scaling(&mut records);
+    println!("EXP-REPLAY — congestion-bound estimator at scale\n");
     let estimates = estimator_scaling();
-    match emit_replay_json("BENCH_replay.json", &records, &estimates, speedup) {
+    match emit_replay_json("BENCH_replay.json", &estimates) {
         Ok(()) => println!("wrote BENCH_replay.json"),
         Err(e) => eprintln!("could not write BENCH_replay.json: {e}"),
     }

@@ -5,7 +5,7 @@
 //! monotone relation.
 //!
 //! The second half measures the replay substrate itself: requests/sec and
-//! slots/sec of the zero-allocation workspace kernel at
+//! slots/sec of the exact event-driven kernel at
 //! `balanced(4,3)`–`balanced(5,4)` scale, its speedup over the retained
 //! naive reference kernel, and a `BENCH_simulator.json` document so the
 //! throughput trajectory is tracked across PRs. Independent replays fan
@@ -119,7 +119,7 @@ fn time_replay(
 }
 
 fn kernel_throughput() {
-    println!("Replay-kernel throughput (workspace kernel, reused buffers)\n");
+    println!("Replay-kernel throughput (exact kernel, reused buffers)\n");
     let mut records: Vec<SimBenchRecord> = Vec::new();
     let mut t = Table::new([
         "network",

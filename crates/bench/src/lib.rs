@@ -14,9 +14,8 @@ pub use bench_json::{
     emit_strategies_json, render_crash_recovery_json, render_dynamic_json, render_faults_json,
     render_replay_json, render_scenarios_json, render_server_json, render_session_resume_json,
     render_simulator_json, render_strategies_json, CrashRecoveryRecord, DynamicBenchRecord,
-    FaultBenchRecord, ReplayBenchRecord, ReplayEstimateRecord, ScenarioBenchRecord,
-    ServerLoadRecord, ServerRecoveryRecord, SessionResumeRecord, SimBenchRecord,
-    StrategyBenchRecord,
+    FaultBenchRecord, ReplayEstimateRecord, ScenarioBenchRecord, ServerLoadRecord,
+    ServerRecoveryRecord, SessionResumeRecord, SimBenchRecord, StrategyBenchRecord,
 };
 pub use table::Table;
 

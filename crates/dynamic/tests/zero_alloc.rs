@@ -1,6 +1,7 @@
 //! Allocation accounting for the serve path, via a counting global
 //! allocator (this integration test is its own binary, so the allocator
-//! swap is local to it):
+//! swap is local to it). The count is kept per thread, so tests running
+//! in parallel never see each other's allocations in their windows:
 //!
 //! * steady-state serves — a request pattern the strategy has already seen
 //!   once, so every stamp vector, replica list and workspace buffer is at
@@ -13,15 +14,23 @@ use hbn_dynamic::{DynamicTree, DynamicWorkspace, OnlineRequest};
 use hbn_topology::generators::{balanced, BandwidthProfile};
 use hbn_workload::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or re-enters it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A deterministic mixed pattern (remote reads saturating paths, write

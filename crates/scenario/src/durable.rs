@@ -12,18 +12,21 @@
 //! checksum **before** any payload decoding, so a corrupted or truncated
 //! file is always a clean [`RestoreError`], never a panic or a silently
 //! wrong resume (FNV-1a's per-byte steps are bijections, so any
-//! single-byte flip changes the checksum). `write_frame` writes to a
-//! sibling `.tmp` file, syncs it, renames into place and fsyncs the
-//! parent directory — a crash (or power loss) mid-write leaves the
-//! previous checkpoint intact, and a stale `.tmp` left by a killed
-//! writer is ignored by readers and overwritten by the next save.
+//! single-byte flip changes the checksum). `write_frame` stages each
+//! save in its own freshly created sibling `<path>.tmp.<pid>.<n>`, syncs
+//! it, renames it into place and fsyncs the parent directory — a crash
+//! (or power loss) mid-write leaves the previous checkpoint intact, and
+//! concurrent writers to one path never share a staging file, so the
+//! committed frame is always one writer's complete frame. A staging
+//! file left by a killed writer is never read and never reused.
 
 use crate::spec::ScenarioSpec;
 use hbn_dynamic::DynamicStats;
 use hbn_load::{LoadMap, LoadRatio};
 use hbn_topology::{EdgeId, Network, NodeId};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic of durable checkpoints.
 pub(crate) const MAGIC: [u8; 4] = *b"HBNC";
@@ -109,20 +112,33 @@ pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
     hash
 }
 
-/// The `.tmp` sibling a frame is staged in before the atomic rename.
-pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::path::PathBuf::from(tmp)
+/// Saves staged by this process so far: the per-save part of staging
+/// names.
+static STAGED: AtomicU64 = AtomicU64::new(0);
+
+/// A staging sibling name no other save uses: `<path>.tmp.<pid>.<n>`,
+/// unique across processes by pid and within one by the save counter.
+pub(crate) fn staging_sibling(path: &Path) -> PathBuf {
+    staging_name(path, STAGED.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Frame `payload` and write it to `path` atomically: stage in a `.tmp`
-/// sibling, fsync it, rename into place, then fsync the parent
-/// directory so the *rename itself* survives power loss (a synced file
-/// under an unsynced directory entry can still resurrect the old name).
-/// A stale `.tmp` left by a killed writer is simply overwritten — it
-/// was never part of a committed checkpoint and readers never look at
-/// it ([`read_frame`] opens only `path`).
+fn staging_name(path: &Path, n: u64) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}.{n}", std::process::id()));
+    PathBuf::from(tmp)
+}
+
+/// Frame `payload` and write it to `path` atomically: stage in a fresh
+/// sibling created with `create_new` (a name left over from an earlier
+/// process with the same pid is skipped, never truncated), fsync it,
+/// rename into place, then fsync the parent directory so the *rename
+/// itself* survives power loss (a synced file under an unsynced
+/// directory entry can still resurrect the old name). Each writer owns
+/// its staging file, so two concurrent saves to one path both succeed
+/// and the later rename wins with a complete frame. Staging files of
+/// killed writers are left alone: readers only ever open `path`
+/// ([`read_frame`]), and removing another process's staging file could
+/// break its rename.
 pub(crate) fn write_frame(path: &Path, payload: &[u8]) -> Result<(), RestoreError> {
     let mut frame = Vec::with_capacity(payload.len() + 24);
     frame.extend_from_slice(&MAGIC);
@@ -132,16 +148,33 @@ pub(crate) fn write_frame(path: &Path, payload: &[u8]) -> Result<(), RestoreErro
     let checksum = fnv1a64(&[&MAGIC, &VERSION.to_le_bytes(), payload]);
     frame.extend_from_slice(&checksum.to_le_bytes());
 
-    let tmp = tmp_sibling(path);
-    // `File::create` truncates, so a partial `.tmp` from a crashed
-    // writer is destroyed here rather than accumulating as junk.
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(&frame)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
+    let (tmp, file) = loop {
+        let tmp = staging_sibling(path);
+        match std::fs::OpenOptions::new().write(true).create_new(true).open(&tmp) {
+            Ok(file) => break (tmp, file),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e.into()),
+        }
+    };
+    if let Err(e) = commit_staged(file, &frame, &tmp, path) {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e.into());
+    }
     sync_parent_dir(path)?;
     Ok(())
+}
+
+/// Write `frame` into the staging file, sync it and rename it to `path`.
+fn commit_staged(
+    mut file: std::fs::File,
+    frame: &[u8],
+    tmp: &Path,
+    path: &Path,
+) -> std::io::Result<()> {
+    file.write_all(frame)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(tmp, path)
 }
 
 /// Fsync the directory holding `path`. On unix a rename is durable only
@@ -411,43 +444,114 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A killed writer leaves a partial `.tmp` sibling: readers ignore
-    /// it (the committed frame still decodes), and the next save
-    /// truncates it and commits over it.
+    /// The staging files in `dir` (everything but committed frames).
+    fn staging_files(dir: &Path) -> Vec<PathBuf> {
+        let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().contains(".tmp."))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// A killed writer leaves a partial staging sibling: readers ignore
+    /// it (the committed frame still decodes), and the next save commits
+    /// over the frame in its own staging file, leaving the torn one
+    /// untouched — it is never read, so it is harmless.
     #[test]
     fn torn_tmp_sibling_is_ignored_and_overwritten() {
         let dir = std::env::temp_dir().join("hbn_durable_torn_tmp_test");
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("frame.hbnc");
         let first = b"first committed payload".to_vec();
         write_frame(&path, &first).unwrap();
 
-        // The torn write: half a frame in the staging sibling.
-        let tmp = tmp_sibling(&path);
-        std::fs::write(&tmp, &MAGIC[..2]).unwrap();
-        assert_eq!(read_frame(&path).unwrap(), first, "torn .tmp must not shadow the frame");
+        // The torn write: half a frame in a staging sibling.
+        let torn = staging_sibling(&path);
+        std::fs::write(&torn, &MAGIC[..2]).unwrap();
+        assert_eq!(read_frame(&path).unwrap(), first, "torn staging must not shadow the frame");
 
-        // A subsequent save succeeds over the stale sibling and the
-        // staging file is consumed by the rename.
+        // A subsequent save succeeds beside the stale sibling, and its
+        // own staging file is consumed by the rename.
         let second = b"second payload, after the torn writer".to_vec();
         write_frame(&path, &second).unwrap();
         assert_eq!(read_frame(&path).unwrap(), second);
-        assert!(!tmp.exists(), "the staging sibling is renamed away on commit");
+        assert_eq!(staging_files(&dir), vec![torn.clone()], "only the torn sibling remains");
+        assert_eq!(std::fs::read(&torn).unwrap(), MAGIC[..2].to_vec(), "torn sibling untouched");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A kill *before* the first commit leaves only a partial `.tmp` and
-    /// no frame at all: restoring reports a clean i/o error for the
-    /// missing committed file, never touches the torn sibling.
+    /// A kill *before* the first commit leaves only a partial staging
+    /// file and no frame at all: restoring reports a clean i/o error for
+    /// the missing committed file, never touches the torn sibling.
     #[test]
     fn torn_tmp_without_committed_frame_is_a_clean_error() {
         let dir = std::env::temp_dir().join("hbn_durable_torn_only_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("never_committed.hbnc");
-        std::fs::write(tmp_sibling(&path), b"HBNC torn mid-write").unwrap();
+        std::fs::write(staging_sibling(&path), b"HBNC torn mid-write").unwrap();
         assert!(matches!(read_frame(&path), Err(RestoreError::Io(_))));
         write_frame(&path, b"now committed").unwrap();
         assert_eq!(read_frame(&path).unwrap(), b"now committed".to_vec());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A name left over from an earlier process with this pid is
+    /// skipped: the save stages under the next free name and the
+    /// leftover keeps its bytes.
+    #[test]
+    fn leftover_staging_name_is_skipped_not_truncated() {
+        let dir = std::env::temp_dir().join("hbn_durable_leftover_test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frame.hbnc");
+        // Occupy the next few names this process will draw.
+        let next = STAGED.load(Ordering::Relaxed);
+        let taken: Vec<PathBuf> = (next..next + 3).map(|n| staging_name(&path, n)).collect();
+        for t in &taken {
+            std::fs::write(t, b"leftover").unwrap();
+        }
+        write_frame(&path, b"committed").unwrap();
+        assert_eq!(read_frame(&path).unwrap(), b"committed".to_vec());
+        assert_eq!(staging_files(&dir), taken, "the save staged under a free name");
+        for t in &taken {
+            assert_eq!(std::fs::read(t).unwrap(), b"leftover".to_vec());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two threads saving to one path: both saves succeed and the
+    /// committed file is exactly one of the two frames — never an error,
+    /// never a torn or interleaved file.
+    #[test]
+    fn concurrent_saves_to_one_path_commit_one_whole_frame() {
+        let dir = std::env::temp_dir().join("hbn_durable_concurrent_test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frame.hbnc");
+        let a = vec![0xaa; 64 * 1024];
+        let b = vec![0xbb; 48 * 1024];
+        for round in 0..40 {
+            let barrier = std::sync::Barrier::new(2);
+            let (ra, rb) = std::thread::scope(|s| {
+                let ta = s.spawn(|| {
+                    barrier.wait();
+                    write_frame(&path, &a)
+                });
+                let tb = s.spawn(|| {
+                    barrier.wait();
+                    write_frame(&path, &b)
+                });
+                (ta.join().unwrap(), tb.join().unwrap())
+            });
+            assert!(ra.is_ok(), "round {round}: writer a failed: {ra:?}");
+            assert!(rb.is_ok(), "round {round}: writer b failed: {rb:?}");
+            let got = read_frame(&path).unwrap();
+            assert!(got == a || got == b, "round {round}: committed frame is neither save");
+            assert!(staging_files(&dir).is_empty(), "round {round}: staging file left behind");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -38,9 +38,8 @@ use hbn_core::nibble_placement;
 use hbn_dynamic::{DynamicStats, OnlineRequest};
 use hbn_load::{LoadMap, Placement};
 use hbn_sim::{
-    estimate_makespan_from_loads, simulate_parallel_overlay, simulate_parallel_with,
-    simulate_reference, simulate_reference_overlay, simulate_with, simulate_with_overlay,
-    ParSimWorkspace, Request, SimError, SimResult, SimWorkspace,
+    estimate_makespan_from_loads, simulate_reference, simulate_reference_overlay, simulate_with,
+    simulate_with_overlay, Request, SimError, SimResult, SimWorkspace,
 };
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId, PhaseRequest, PhaseStreamState};
@@ -449,9 +448,6 @@ pub struct Session {
     max_objects: usize,
     strategy: Box<dyn Strategy>,
     ws: SimWorkspace,
-    /// Wavefront scratch for [`ReplayKernel::Parallel`], created on
-    /// first use (a cache like `ws`, not checkpointed state).
-    pws: Option<ParSimWorkspace>,
     stream: PhaseStreamState,
     /// Requests drawn from the stream so far (the durable stream
     /// cursor — see [`SessionCheckpoint`]).
@@ -543,7 +539,6 @@ impl Session {
             max_objects,
             strategy,
             ws: SimWorkspace::new(),
-            pws: None,
             stream,
             requests_drawn: 0,
             aggregate: AccessMatrix::new(max_objects),
@@ -903,31 +898,6 @@ impl Session {
                     )?),
                     None,
                 ),
-                (ReplayKernel::Parallel { width }, pristine) => {
-                    let pws = self.pws.get_or_insert_with(ParSimWorkspace::new);
-                    pws.set_threads(width);
-                    let sim = if pristine {
-                        simulate_parallel_with(
-                            pws,
-                            &self.net,
-                            epoch_matrix,
-                            &placement,
-                            &self.epoch_trace,
-                            self.spec.exec.sim,
-                        )?
-                    } else {
-                        simulate_parallel_overlay(
-                            pws,
-                            &self.net,
-                            epoch_matrix,
-                            &placement,
-                            &self.epoch_trace,
-                            self.spec.exec.sim,
-                            &view.overlay,
-                        )?
-                    };
-                    (Some(sim), None)
-                }
                 (ReplayKernel::Estimate { sample_every }, pristine) => {
                     let overlay = (!pristine).then_some(&view.overlay);
                     let bounds = estimate_makespan_from_loads(
@@ -1107,7 +1077,6 @@ impl Session {
             max_objects,
             strategy: checkpoint.strategy,
             ws: SimWorkspace::new(),
-            pws: None,
             stream: checkpoint.stream,
             requests_drawn: checkpoint.requests_drawn,
             aggregate: checkpoint.aggregate,

@@ -13,14 +13,16 @@
 //! multicast packets replicate at branch nodes, charging every Steiner
 //! edge exactly once per update.
 //!
-//! Two kernels implement these semantics: the zero-allocation workspace
-//! kernel ([`crate::SimWorkspace`], used by [`simulate`]) and the naive
-//! reference ([`crate::simulate_reference`]), pinned to each other by the
+//! Two kernels implement these semantics: the exact event-driven kernel
+//! ([`crate::wavefront`], run by [`simulate`] on a reusable
+//! [`crate::SimWorkspace`]) and the naive reference
+//! ([`crate::simulate_reference`]), pinned to each other by the
 //! differential suite in `tests/differential.rs`. See DESIGN.md for the
-//! capacity normalisation and the workspace/arena design.
+//! capacity normalisation and the exact kernel's design.
 
 use crate::trace::Request;
-use crate::workspace::{self, SimWorkspace};
+use crate::wavefront;
+use crate::workspace::SimWorkspace;
 use hbn_load::Placement;
 use hbn_topology::NodeId;
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -91,7 +93,7 @@ impl std::error::Error for SimError {}
 /// Every trace request must be covered by the placement's assignment
 /// (replaying the full [`crate::trace::expand`] of the matrix always is).
 ///
-/// Runs the zero-allocation workspace kernel on a fresh [`SimWorkspace`];
+/// Runs the exact kernel on a fresh [`SimWorkspace`];
 /// callers replaying many traces should hold a workspace and use
 /// [`simulate_with`] so buffers are reused across runs.
 pub fn simulate(
@@ -115,7 +117,7 @@ pub fn simulate_with(
     trace: &[Request],
     config: SimConfig,
 ) -> Result<SimResult, SimError> {
-    workspace::run(ws, net, matrix, placement, trace, config, None)
+    wavefront::run(ws, net, matrix, placement, trace, config, None)
 }
 
 /// [`simulate_with`] under a per-bus capacity overlay: degraded buses
@@ -132,7 +134,7 @@ pub fn simulate_with_overlay(
     config: SimConfig,
     overlay: &hbn_topology::CapacityOverlay,
 ) -> Result<SimResult, SimError> {
-    workspace::run(ws, net, matrix, placement, trace, config, Some(overlay))
+    wavefront::run(ws, net, matrix, placement, trace, config, Some(overlay))
 }
 
 #[cfg(test)]

@@ -8,11 +8,14 @@
 //! multicast along Steiner trees — so replayed traffic reproduces the load
 //! model exactly, and the makespan is lower-bounded by the congestion.
 //!
-//! The default kernel ([`simulate`] / [`simulate_with`]) performs no heap
-//! allocation in its steady-state slot loop and reuses a [`SimWorkspace`]
-//! across replays; the naive kernel is retained as
-//! [`simulate_reference`] and pinned to the fast one by the differential
-//! test suite.
+//! One exact kernel ([`simulate`] / [`simulate_with`] /
+//! [`simulate_with_overlay`]) replays every slot: it queues unicast
+//! packets per switch and probes only queue heads, arbitrating them with
+//! the live multicasts in one global priority order on a single thread
+//! ([`wavefront`]). It performs no heap allocation in its steady-state
+//! slot loop and reuses a [`SimWorkspace`] across replays. The naive
+//! kernel is retained as [`simulate_reference`], the oracle the exact
+//! kernel is pinned to by the differential test suite.
 //!
 //! ## Replaying a workload
 //!
@@ -44,17 +47,14 @@
 pub mod engine;
 pub mod estimate;
 pub mod packet;
-pub mod parallel;
 pub mod reference;
 pub mod trace;
+pub mod wavefront;
 pub mod workspace;
 
 pub use engine::{simulate, simulate_with, simulate_with_overlay, SimConfig, SimError, SimResult};
 pub use estimate::{estimate_makespan, estimate_makespan_from_loads};
 pub use packet::{Packet, PacketKind};
-pub use parallel::{
-    simulate_parallel, simulate_parallel_overlay, simulate_parallel_with, ParSimWorkspace,
-};
 pub use reference::{simulate_reference, simulate_reference_overlay};
 pub use trace::{expand, expand_shuffled, Request};
 pub use workspace::SimWorkspace;

@@ -1,6 +1,6 @@
 //! The naive reference kernel, retained verbatim in structure from the
-//! original engine for differential testing against the optimized
-//! workspace kernel ([`crate::SimWorkspace`]).
+//! original engine for differential testing against the exact kernel
+//! ([`crate::simulate_with`]).
 //!
 //! This path allocates freely — fresh token `Vec`s per slot, a grouping
 //! `Vec` per packet move, one destination `Vec` per packet — and re-sorts

@@ -1,71 +1,34 @@
-//! The zero-steady-state-allocation slot kernel and its reusable
-//! [`SimWorkspace`].
+//! The reusable [`SimWorkspace`]: every buffer the exact slot kernel
+//! ([`crate::wavefront`]) needs, plus the per-run builders that fill them.
 //!
 //! The naive kernel (retained in [`crate::reference`]) allocates on every
 //! slot: two fresh token `Vec`s, a `Vec<(NodeId, Vec<NodeId>)>` per packet
 //! for hop grouping, a `Vec<NodeId>` per surviving packet, and a full
-//! re-sort of the active set. This kernel replays the *same slot
-//! semantics* with no heap allocation inside the slot loop:
+//! re-sort of the active set. The exact kernel replays the *same slot
+//! semantics* with no heap allocation inside the slot loop once the
+//! workspace has reached its high-water capacities:
 //!
 //! * **Token buffers** are preallocated once per run and reset in place
 //!   each slot (`copy_from_slice` from cached bandwidth vectors).
-//! * **Destination sets** live in a double-buffered arena
-//!   (`arena`/`arena_next`): packets store `(start, len)` ranges, each
-//!   slot writes the surviving and spawned ranges into the next arena,
-//!   and the buffers swap at slot end. Capacities reach a high-water mark
-//!   and then stay.
-//! * **Hop grouping** runs in two scratch buffers (`hop_of`,
-//!   `group_hops`) with a one-entry child-subtree cache on top of
-//!   [`Network::child_towards`], so grouping is allocation-free and
-//!   amortizes to O(1) per destination.
-//! * **Arbitration order is maintained, not recomputed.** Packets are
-//!   totally ordered by `(prio, seq)` — injection order, with a unique
-//!   creation sequence breaking ties among branch fragments that inherit
-//!   their origin's priority. Survivors and fragments each emerge in
-//!   order, so the next slot's active set is a two-way merge plus an
-//!   append of freshly spawned updates (whose priorities are always
-//!   larger). No per-slot sort.
+//! * **Unicast packets** wait in per-switch min-heaps whose `Vec`s are
+//!   cleared, never dropped, between runs.
+//! * **Multicast packets** live in a slab with a free list; their
+//!   destination sets and cached grouping plans are recycled through
+//!   buffer pools.
 //! * **Routing** uses a dense CSR table over `object × processor`
-//!   (`route_off`/`route_entries`) instead of a `HashMap<(u32, u32), …>`.
+//!   (`route_off`/`route_entries`) instead of a `HashMap<(u32, u32), …>`,
+//!   and injection queues are a CSR over processors in trace order.
 //!
 //! A workspace can be reused across runs (and across networks); buffers
 //! are re-sized at bind time and only grow.
 
-use crate::engine::{SimConfig, SimError, SimResult};
-use crate::packet::PacketKind;
+use crate::engine::SimError;
 use crate::trace::Request;
+use crate::wavefront::{Cand, GroupPlan, McPacket, QPacket};
 use hbn_load::Placement;
 use hbn_topology::{CapacityOverlay, EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
-
-/// A packet in the fast kernel: destinations are an arena range.
-#[derive(Debug, Clone, Copy)]
-struct FastPacket {
-    /// Arbitration priority (injection order; fragments inherit it).
-    prio: u64,
-    /// Unique creation sequence; tie-breaks equal priorities.
-    seq: u64,
-    object: ObjectId,
-    kind: PacketKind,
-    position: NodeId,
-    dst_start: u32,
-    dst_len: u32,
-    issued_at: u64,
-    /// Cached next hop for unicast packets (`NO_HOP` when unknown);
-    /// stays valid while the packet is blocked in place, invalidated on
-    /// every move.
-    hop_cache: NodeId,
-}
-
-/// Sentinel for an unknown [`FastPacket::hop_cache`].
-const NO_HOP: NodeId = NodeId(u32::MAX);
-
-impl FastPacket {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.prio, self.seq)
-    }
-}
+use std::collections::BinaryHeap;
 
 /// One assignment entry in the dense router, with remaining budgets.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +46,7 @@ pub(crate) struct Queued {
     pub(crate) is_write: bool,
 }
 
-/// Reusable buffers for the slot kernel. Construct once, pass to
+/// Reusable buffers for the exact slot kernel. Construct once, pass to
 /// [`crate::simulate_with`] any number of times; every buffer is reset at
 /// bind time and retains its capacity between runs.
 #[derive(Debug, Default)]
@@ -107,17 +70,34 @@ pub struct SimWorkspace {
     // Per-slot token buffers, reset in place.
     pub(crate) edge_tokens: Vec<u64>,
     pub(crate) bus_tokens: Vec<u64>,
-    // Active packets, always sorted by (prio, seq).
-    active: Vec<FastPacket>,
-    survivors: Vec<FastPacket>,
-    moved: Vec<FastPacket>,
-    updates: Vec<FastPacket>,
-    // Destination arenas (double-buffered) and per-packet scratch.
-    arena: Vec<NodeId>,
-    arena_next: Vec<NodeId>,
-    remaining_scratch: Vec<NodeId>,
-    hop_of: Vec<NodeId>,
-    group_hops: Vec<NodeId>,
+    /// Per-switch min-heaps of waiting unicast packets, indexed by the
+    /// switch's child endpoint (the root slot is never used).
+    pub(crate) heaps: Vec<BinaryHeap<QPacket>>,
+    /// Switches with (possibly) non-empty heaps, plus membership flags.
+    pub(crate) active_edges: Vec<u32>,
+    pub(crate) active_next: Vec<u32>,
+    pub(crate) edge_active: Vec<bool>,
+    /// Multicast slab; emptied `dests` marks a dead entry whose slot is
+    /// on `mc_free`.
+    pub(crate) mc: Vec<McPacket>,
+    /// Slab indices of live multicasts, sorted by `(prio, seq)`. The
+    /// commit phase merges this list with the switch-head heap; spawns
+    /// binary-insert (injection-time keys are monotone, so they append).
+    pub(crate) mc_order: Vec<u32>,
+    pub(crate) mc_free: Vec<u32>,
+    pub(crate) mc_spawn: Vec<McPacket>,
+    mc_pool: Vec<Vec<NodeId>>,
+    mc_group_pool: Vec<Vec<GroupPlan>>,
+    /// Per-slot candidate heap and the unicasts routed into switch
+    /// queues at the next flush.
+    pub(crate) cands: BinaryHeap<Cand>,
+    pub(crate) arrivals: Vec<QPacket>,
+    // Multicast grouping scratch.
+    pub(crate) hop_of: Vec<NodeId>,
+    pub(crate) group_hops: Vec<NodeId>,
+    pub(crate) remaining: Vec<NodeId>,
+    pub(crate) frag: Vec<NodeId>,
+    pub(crate) upd: Vec<NodeId>,
     // Outputs.
     pub(crate) edge_crossings: Vec<u64>,
     pub(crate) latencies: Vec<u64>,
@@ -166,15 +146,29 @@ impl SimWorkspace {
         self.edge_crossings.clear();
         self.edge_crossings.resize(n, 0);
         self.latencies.clear();
-        self.active.clear();
-        self.survivors.clear();
-        self.moved.clear();
-        self.updates.clear();
-        self.arena.clear();
-        self.arena_next.clear();
-        self.remaining_scratch.clear();
-        self.hop_of.clear();
-        self.group_hops.clear();
+        if self.heaps.len() < n {
+            self.heaps.resize_with(n, BinaryHeap::new);
+        }
+        for h in &mut self.heaps {
+            h.clear();
+        }
+        self.active_edges.clear();
+        self.active_next.clear();
+        self.edge_active.clear();
+        self.edge_active.resize(n, false);
+        // Dead entries gave their buffers back when they died; only the
+        // live ones of a run cut short by an error still hold any.
+        for m in self.mc.drain(..) {
+            if !m.dests.is_empty() {
+                self.mc_pool.push(m.dests);
+                self.mc_group_pool.push(m.groups);
+            }
+        }
+        self.mc_order.clear();
+        self.mc_free.clear();
+        self.mc_spawn.clear();
+        self.cands.clear();
+        self.arrivals.clear();
     }
 
     /// Build the dense CSR router from the placement's assignments.
@@ -302,402 +296,83 @@ impl SimWorkspace {
         self.q_cursor.extend_from_slice(&self.q_off[..n_procs]);
         Ok(())
     }
+
+    /// Mark switch `e` as holding waiting packets.
+    #[inline]
+    pub(crate) fn activate(&mut self, e: u32) {
+        if !self.edge_active[e as usize] {
+            self.edge_active[e as usize] = true;
+            self.active_edges.push(e);
+        }
+    }
+
+    /// An empty destination buffer from the pool.
+    pub(crate) fn pooled(&mut self) -> Vec<NodeId> {
+        let mut dests = self.mc_pool.pop().unwrap_or_default();
+        dests.clear();
+        dests
+    }
+
+    /// An empty grouping-plan buffer from the pool.
+    pub(crate) fn pooled_groups(&mut self) -> Vec<GroupPlan> {
+        let mut groups = self.mc_group_pool.pop().unwrap_or_default();
+        groups.clear();
+        groups
+    }
+
+    /// Return a dead multicast's buffers to the pools.
+    pub(crate) fn recycle(&mut self, dests: Vec<NodeId>, groups: Vec<GroupPlan>) {
+        self.mc_pool.push(dests);
+        self.mc_group_pool.push(groups);
+    }
+
+    /// Move `m` into a free slab slot and register it in the sorted
+    /// live list.
+    pub(crate) fn mc_admit(&mut self, m: McPacket) {
+        let key = m.key();
+        let idx = match self.mc_free.pop() {
+            Some(i) => {
+                self.mc[i as usize] = m;
+                i
+            }
+            None => {
+                self.mc.push(m);
+                (self.mc.len() - 1) as u32
+            }
+        };
+        let mc = &self.mc;
+        let pos = self.mc_order.partition_point(|&j| mc[j as usize].key() < key);
+        self.mc_order.insert(pos, idx);
+    }
 }
 
-/// Append `copies(x) \ {server}` (sorted, deduplicated) to `arena` and
-/// push the update packet onto `out`. No-op when the set is empty.
-#[allow(clippy::too_many_arguments)]
-fn spawn_update(
-    placement: &Placement,
-    x: ObjectId,
-    server: NodeId,
-    issued_at: u64,
-    next_prio: &mut u64,
-    next_seq: &mut u64,
-    arena: &mut Vec<NodeId>,
-    out: &mut Vec<FastPacket>,
-) {
-    let seg_start = arena.len();
-    for &c in placement.copies(x) {
-        if c != server {
-            arena.push(c);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{expand, simulate_with, SimConfig};
+    use hbn_topology::generators::{balanced, BandwidthProfile};
+    use hbn_workload::generators as wgen;
+
+    /// Replaying through one workspace many times keeps the multicast
+    /// buffer pools at a fixed size: a long-lived session replays an
+    /// epoch at a time, forever.
+    #[test]
+    fn multicast_pools_stay_bounded_across_runs() {
+        let net = balanced(3, 2, BandwidthProfile::Uniform);
+        let m = wgen::shared_write(&net, 4, 6, 2);
+        let mut pl = Placement::new(m.n_objects());
+        for x in m.objects() {
+            pl.set_copies(x, net.processors().to_vec());
         }
+        pl.nearest_assignment(&net, &m);
+        let trace = expand(&m);
+        let mut ws = SimWorkspace::new();
+        let mut sizes = Vec::new();
+        for _ in 0..20 {
+            simulate_with(&mut ws, &net, &m, &pl, &trace, SimConfig::default()).unwrap();
+            assert!(!ws.mc.is_empty(), "the instance must exercise the multicast slab");
+            sizes.push((ws.mc_pool.len(), ws.mc_group_pool.len()));
+        }
+        assert_eq!(sizes[2], sizes[19], "pools grew across runs: {sizes:?}");
     }
-    if arena.len() == seg_start {
-        return;
-    }
-    arena[seg_start..].sort_unstable();
-    // In-place dedup of the fresh segment.
-    let mut write = seg_start + 1;
-    for read in seg_start + 1..arena.len() {
-        if arena[read] != arena[write - 1] {
-            arena[write] = arena[read];
-            write += 1;
-        }
-    }
-    arena.truncate(write);
-    let prio = *next_prio;
-    *next_prio += 1;
-    let seq = *next_seq;
-    *next_seq += 1;
-    out.push(FastPacket {
-        prio,
-        seq,
-        object: x,
-        kind: PacketKind::Update,
-        position: server,
-        dst_start: seg_start as u32,
-        dst_len: (write - seg_start) as u32,
-        issued_at,
-        hop_cache: NO_HOP,
-    });
-}
-
-/// Run the zero-allocation slot kernel; see [`crate::simulate_with`].
-pub(crate) fn run(
-    ws: &mut SimWorkspace,
-    net: &Network,
-    matrix: &AccessMatrix,
-    placement: &Placement,
-    trace: &[Request],
-    config: SimConfig,
-    overlay: Option<&CapacityOverlay>,
-) -> Result<SimResult, SimError> {
-    ws.bind(net, overlay);
-    ws.build_router(net, matrix, placement);
-    ws.build_queues(net, trace)?;
-
-    let n_procs = net.n_processors();
-    let mut next_prio = 0u64;
-    let mut next_seq = 0u64;
-    let mut delivered_requests = 0u64;
-    let mut delivered_updates = 0u64;
-    let mut makespan = 0u64;
-    let mut remaining_queued = trace.len();
-
-    let mut slot = 0u64;
-    loop {
-        if slot >= config.max_slots {
-            return Err(SimError::SlotBudgetExceeded);
-        }
-
-        // --- Injection (allocation-free: cursors over the CSR queues) ---
-        let mut injected_any = false;
-        for pi in 0..n_procs {
-            let p = net.processor_at(pi);
-            for _ in 0..config.injection_rate {
-                let cur = ws.q_cursor[pi];
-                if cur == ws.q_off[pi + 1] {
-                    break;
-                }
-                ws.q_cursor[pi] = cur + 1;
-                remaining_queued -= 1;
-                injected_any = true;
-                let q = ws.q_entries[cur as usize];
-                let prio = next_prio;
-                next_prio += 1;
-                if q.server == p {
-                    // Local reference copy: request completes instantly.
-                    delivered_requests += 1;
-                    ws.latencies.push(0);
-                    makespan = makespan.max(slot);
-                    if q.is_write {
-                        spawn_update(
-                            placement,
-                            q.object,
-                            p,
-                            slot,
-                            &mut next_prio,
-                            &mut next_seq,
-                            &mut ws.arena,
-                            &mut ws.active,
-                        );
-                    }
-                } else {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let dst_start = ws.arena.len() as u32;
-                    ws.arena.push(q.server);
-                    ws.active.push(FastPacket {
-                        prio,
-                        seq,
-                        object: q.object,
-                        kind: if q.is_write { PacketKind::Write } else { PacketKind::Read },
-                        position: p,
-                        dst_start,
-                        dst_len: 1,
-                        issued_at: slot,
-                        hop_cache: NO_HOP,
-                    });
-                }
-            }
-        }
-
-        // --- Forwarding ---
-        ws.edge_tokens.copy_from_slice(&ws.edge_bw);
-        ws.bus_tokens.copy_from_slice(&ws.bus_bw2);
-        // Down buses grant no tokens during the outage window; every
-        // edge has a bus endpoint, so all their crossings defer until
-        // the window ends and the packets retry — deferred, not lost.
-        if slot < ws.outage_slots {
-            for i in 0..ws.down_buses.len() {
-                ws.bus_tokens[ws.down_buses[i].index()] = 0;
-            }
-        }
-        ws.survivors.clear();
-        ws.moved.clear();
-        ws.updates.clear();
-        ws.arena_next.clear();
-
-        for idx in 0..ws.active.len() {
-            let pkt = ws.active[idx];
-            let v = pkt.position;
-            let dst = pkt.dst_start as usize..(pkt.dst_start + pkt.dst_len) as usize;
-
-            // Fast path for unicast packets (every request, and update
-            // fragments that have narrowed to one copy): one hop, one
-            // group — skip the grouping machinery entirely. Semantically
-            // identical to the general path below with a single group.
-            if pkt.dst_len == 1 {
-                let d = ws.arena[pkt.dst_start as usize];
-                let hop = if pkt.hop_cache != NO_HOP {
-                    pkt.hop_cache
-                } else if net.is_ancestor(v, d) {
-                    net.child_towards(v, d)
-                } else {
-                    net.parent(v)
-                };
-                let edge = if net.parent(hop) == v { hop } else { v };
-                let e = EdgeId::from(edge);
-                let (a, b) = net.edge_endpoints(e);
-                let bus_a = net.is_bus(a);
-                let bus_b = net.is_bus(b);
-                let ok = ws.edge_tokens[e.index()] >= 1
-                    && (!bus_a || ws.bus_tokens[a.index()] >= 1)
-                    && (!bus_b || ws.bus_tokens[b.index()] >= 1);
-                if !ok {
-                    let seg_start = ws.arena_next.len() as u32;
-                    ws.arena_next.push(d);
-                    ws.survivors.push(FastPacket { dst_start: seg_start, hop_cache: hop, ..pkt });
-                    continue;
-                }
-                ws.edge_tokens[e.index()] -= 1;
-                if bus_a {
-                    ws.bus_tokens[a.index()] -= 1;
-                }
-                if bus_b {
-                    ws.bus_tokens[b.index()] -= 1;
-                }
-                ws.edge_crossings[e.index()] += 1;
-                if d == hop {
-                    match pkt.kind {
-                        PacketKind::Read | PacketKind::Write => {
-                            delivered_requests += 1;
-                            ws.latencies.push(slot + 1 - pkt.issued_at);
-                            makespan = makespan.max(slot + 1);
-                            if pkt.kind == PacketKind::Write {
-                                spawn_update(
-                                    placement,
-                                    pkt.object,
-                                    hop,
-                                    slot + 1,
-                                    &mut next_prio,
-                                    &mut next_seq,
-                                    &mut ws.arena_next,
-                                    &mut ws.updates,
-                                );
-                            }
-                        }
-                        PacketKind::Update => {
-                            delivered_updates += 1;
-                            makespan = makespan.max(slot + 1);
-                        }
-                    }
-                } else {
-                    let seg_start = ws.arena_next.len() as u32;
-                    ws.arena_next.push(d);
-                    let seq = next_seq;
-                    next_seq += 1;
-                    ws.moved.push(FastPacket {
-                        seq,
-                        position: hop,
-                        dst_start: seg_start,
-                        hop_cache: NO_HOP,
-                        ..pkt
-                    });
-                }
-                continue;
-            }
-
-            // Group destinations by next hop, first-occurrence order.
-            // One-entry cache of the last descending child's preorder
-            // range: consecutive destinations in the same subtree skip
-            // the O(log degree) lookup.
-            ws.hop_of.clear();
-            ws.group_hops.clear();
-            let mut cached: Option<(u32, u32, NodeId)> = None;
-            for di in dst.clone() {
-                let d = ws.arena[di];
-                let hop = if !net.is_ancestor(v, d) {
-                    net.parent(v)
-                } else {
-                    let t = net.preorder_index(d);
-                    match cached {
-                        Some((lo, hi, c)) if (lo..hi).contains(&t) => c,
-                        _ => {
-                            let c = net.child_towards(v, d);
-                            let lo = net.preorder_index(c);
-                            cached = Some((lo, lo + net.subtree_size(c) as u32, c));
-                            c
-                        }
-                    }
-                };
-                ws.hop_of.push(hop);
-                if !ws.group_hops.contains(&hop) {
-                    ws.group_hops.push(hop);
-                }
-            }
-
-            ws.remaining_scratch.clear();
-            for gi in 0..ws.group_hops.len() {
-                let hop = ws.group_hops[gi];
-                let edge = if net.parent(hop) == v { hop } else { v };
-                let e = EdgeId::from(edge);
-                let (a, b) = net.edge_endpoints(e);
-                let bus_a = net.is_bus(a);
-                let bus_b = net.is_bus(b);
-                let ok = ws.edge_tokens[e.index()] >= 1
-                    && (!bus_a || ws.bus_tokens[a.index()] >= 1)
-                    && (!bus_b || ws.bus_tokens[b.index()] >= 1);
-                if !ok {
-                    for (off, &h) in ws.hop_of.iter().enumerate() {
-                        if h == hop {
-                            ws.remaining_scratch.push(ws.arena[pkt.dst_start as usize + off]);
-                        }
-                    }
-                    continue;
-                }
-                ws.edge_tokens[e.index()] -= 1;
-                if bus_a {
-                    ws.bus_tokens[a.index()] -= 1;
-                }
-                if bus_b {
-                    ws.bus_tokens[b.index()] -= 1;
-                }
-                ws.edge_crossings[e.index()] += 1;
-
-                // The group's branch continues from `hop` as a fragment
-                // inheriting the origin's priority; destinations equal to
-                // `hop` are delivered here.
-                let seg_start = ws.arena_next.len();
-                let mut delivered_here = 0u64;
-                for (off, &h) in ws.hop_of.iter().enumerate() {
-                    if h == hop {
-                        let d = ws.arena[pkt.dst_start as usize + off];
-                        if d == hop {
-                            delivered_here += 1;
-                        } else {
-                            ws.arena_next.push(d);
-                        }
-                    }
-                }
-                ws.arena_next[seg_start..].sort_unstable();
-                let seg_len = ws.arena_next.len() - seg_start;
-                if seg_len > 0 {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    ws.moved.push(FastPacket {
-                        seq,
-                        position: hop,
-                        dst_start: seg_start as u32,
-                        dst_len: seg_len as u32,
-                        hop_cache: NO_HOP,
-                        ..pkt
-                    });
-                }
-                if delivered_here > 0 {
-                    match pkt.kind {
-                        PacketKind::Read | PacketKind::Write => {
-                            delivered_requests += 1;
-                            ws.latencies.push(slot + 1 - pkt.issued_at);
-                            makespan = makespan.max(slot + 1);
-                            if pkt.kind == PacketKind::Write {
-                                spawn_update(
-                                    placement,
-                                    pkt.object,
-                                    hop,
-                                    slot + 1,
-                                    &mut next_prio,
-                                    &mut next_seq,
-                                    &mut ws.arena_next,
-                                    &mut ws.updates,
-                                );
-                            }
-                        }
-                        PacketKind::Update => {
-                            delivered_updates += delivered_here;
-                            makespan = makespan.max(slot + 1);
-                        }
-                    }
-                }
-            }
-
-            if !ws.remaining_scratch.is_empty() {
-                let seg_start = ws.arena_next.len();
-                ws.arena_next.extend_from_slice(&ws.remaining_scratch);
-                ws.survivors.push(FastPacket {
-                    dst_start: seg_start as u32,
-                    dst_len: ws.remaining_scratch.len() as u32,
-                    ..pkt
-                });
-            }
-        }
-
-        // --- Rebuild the active set: merge, don't resort ---
-        // Survivors and fragments are each emitted in ascending (prio,
-        // seq); fresh updates all carry priorities above everything else.
-        ws.active.clear();
-        {
-            let (mut i, mut j) = (0, 0);
-            while i < ws.survivors.len() && j < ws.moved.len() {
-                if ws.survivors[i].key() <= ws.moved[j].key() {
-                    ws.active.push(ws.survivors[i]);
-                    i += 1;
-                } else {
-                    ws.active.push(ws.moved[j]);
-                    j += 1;
-                }
-            }
-            ws.active.extend_from_slice(&ws.survivors[i..]);
-            ws.active.extend_from_slice(&ws.moved[j..]);
-            ws.active.extend_from_slice(&ws.updates);
-        }
-        debug_assert!(ws.active.windows(2).all(|w| w[0].key() < w[1].key()));
-        std::mem::swap(&mut ws.arena, &mut ws.arena_next);
-
-        if ws.active.is_empty() && !injected_any && remaining_queued == 0 {
-            break;
-        }
-        slot += 1;
-    }
-
-    ws.latencies.sort_unstable();
-    let mean_latency = if ws.latencies.is_empty() {
-        0.0
-    } else {
-        ws.latencies.iter().sum::<u64>() as f64 / ws.latencies.len() as f64
-    };
-    let p99_latency = ws
-        .latencies
-        .get(((ws.latencies.len() as f64 * 0.99).ceil() as usize).saturating_sub(1))
-        .copied()
-        .unwrap_or(0);
-    Ok(SimResult {
-        makespan,
-        delivered_requests,
-        delivered_updates,
-        mean_latency,
-        p99_latency,
-        edge_crossings: ws.edge_crossings.clone(),
-    })
 }

@@ -1,17 +1,19 @@
-//! Differential tests: the zero-allocation workspace kernel must produce
-//! an identical `SimResult` to the retained naive reference kernel on
-//! every instance — same makespan, latencies, delivery counts and
-//! per-edge crossings.
+//! Differential tests: the exact kernel must produce an identical
+//! `SimResult` to the retained naive reference kernel on every instance
+//! — same makespan, latencies, delivery counts and per-edge crossings —
+//! including under capacity overlays and on the error paths.
 
 use hbn_core::ExtendedNibble;
 use hbn_sim::{
     expand, expand_shuffled, simulate, simulate_reference, simulate_reference_overlay,
-    simulate_with, simulate_with_overlay, SimConfig, SimWorkspace,
+    simulate_with, simulate_with_overlay, SimConfig, SimError, SimWorkspace,
 };
+use hbn_testutil::workload_from_seed;
 use hbn_topology::generators::{balanced, random_network, star, BandwidthProfile};
 use hbn_topology::{CapacityOverlay, Network};
 use hbn_workload::generators as wgen;
 use hbn_workload::{AccessMatrix, ObjectId};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -283,4 +285,244 @@ fn kernels_reject_non_leaf_requesters() {
         fast,
         Err(hbn_sim::SimError::UnroutedRequest { processor: p[0], object: ObjectId(7) })
     );
+}
+
+/// Replay on the exact kernel in `ws` (which may hold a previous run's
+/// state) and on the reference, optionally under `overlay`, and require
+/// identical outcomes.
+#[allow(clippy::too_many_arguments)]
+fn assert_exact_agrees(
+    ws: &mut SimWorkspace,
+    net: &Network,
+    m: &AccessMatrix,
+    placement: &hbn_load::Placement,
+    trace: &[hbn_sim::Request],
+    config: SimConfig,
+    overlay: Option<&CapacityOverlay>,
+    ctx: &str,
+) {
+    let (exact, naive) = match overlay {
+        None => (
+            simulate_with(ws, net, m, placement, trace, config),
+            simulate_reference(net, m, placement, trace, config),
+        ),
+        Some(o) => (
+            simulate_with_overlay(ws, net, m, placement, trace, config, o),
+            simulate_reference_overlay(net, m, placement, trace, config, o),
+        ),
+    };
+    assert_eq!(exact, naive, "kernel divergence on {ctx}");
+}
+
+/// Degrade each non-root bus with probability `p_degrade` and take it
+/// down with probability `p_down`, for an outage window of `outage`
+/// slots.
+fn random_overlay(
+    net: &Network,
+    outage: u64,
+    p_degrade: f64,
+    p_down: f64,
+    rng: &mut StdRng,
+) -> CapacityOverlay {
+    let mut overlay = CapacityOverlay::pristine(net.n_nodes()).with_outage_slots(outage);
+    for v in net.nodes().filter(|&v| net.is_bus(v) && v != net.root()) {
+        if rng.gen_bool(p_degrade) {
+            overlay.degrade(v, rng.gen_range(2..8));
+        }
+        if rng.gen_bool(p_down) {
+            overlay.set_down(v);
+        }
+    }
+    overlay
+}
+
+/// Random networks × random workloads across injection rates, with one
+/// workspace reused across all rounds (stale state from a previous
+/// replay must not leak) next to a fresh one per round.
+#[test]
+fn kernels_agree_across_injection_rates() {
+    let mut rng = StdRng::seed_from_u64(9001);
+    let mut reused = SimWorkspace::new();
+    for round in 0..25 {
+        let buses = rng.gen_range(1..7);
+        let procs = rng.gen_range(3..16).max(buses * 2);
+        let net = random_network(buses, procs, BandwidthProfile::Uniform, &mut rng);
+        let m = wgen::uniform(&net, rng.gen_range(1..6), 5, 3, 0.7, &mut rng);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand_shuffled(&m, &mut rng);
+        let rate = [1usize, 2, 5][round % 3];
+        let cfg = SimConfig { injection_rate: rate, ..SimConfig::default() };
+        let ctx = format!("round {round} rate {rate}");
+        assert_exact_agrees(
+            &mut SimWorkspace::new(),
+            &net,
+            &m,
+            &out.placement,
+            &trace,
+            cfg,
+            None,
+            &ctx,
+        );
+        assert_exact_agrees(&mut reused, &net, &m, &out.placement, &trace, cfg, None, &ctx);
+    }
+}
+
+/// Write-heavy workloads on a deeper tree: broadcasts fragment across
+/// three bus levels, so fragment sequence numbers must be drawn in
+/// exactly the reference kernel's order.
+#[test]
+fn kernels_agree_on_deep_write_heavy_multicast() {
+    let mut rng = StdRng::seed_from_u64(9002);
+    for round in 0..10 {
+        let net = balanced(3, 3, BandwidthProfile::Uniform);
+        let m = wgen::shared_write(&net, rng.gen_range(2..6), rng.gen_range(2..9), 3);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand_shuffled(&m, &mut rng);
+        assert_exact_agrees(
+            &mut SimWorkspace::new(),
+            &net,
+            &m,
+            &out.placement,
+            &trace,
+            SimConfig::default(),
+            None,
+            &format!("write round {round}"),
+        );
+    }
+}
+
+/// Random overlays on larger random trees: degraded buses and bounded
+/// outage windows must defer packets identically in both kernels.
+#[test]
+fn kernels_agree_under_random_overlays() {
+    let mut rng = StdRng::seed_from_u64(9003);
+    for round in 0..15 {
+        let buses = rng.gen_range(2..6);
+        let procs = rng.gen_range(4..14).max(buses * 2);
+        let net =
+            random_network(buses, procs, BandwidthProfile::FatTree { base: 2, cap: 16 }, &mut rng);
+        let m = wgen::uniform(&net, rng.gen_range(1..5), 5, 3, 0.7, &mut rng);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand_shuffled(&m, &mut rng);
+        let outage = rng.gen_range(1..40);
+        let overlay = random_overlay(&net, outage, 0.4, 0.2, &mut rng);
+        assert_exact_agrees(
+            &mut SimWorkspace::new(),
+            &net,
+            &m,
+            &out.placement,
+            &trace,
+            SimConfig::default(),
+            Some(&overlay),
+            &format!("overlay round {round}"),
+        );
+    }
+}
+
+/// A root outage on a heavily loaded star: a dense contention pattern
+/// where the whole network blocks and then drains at once.
+#[test]
+fn kernels_agree_through_full_outage_drain() {
+    let net = star(8, 2);
+    let p = net.processors();
+    let mut m = AccessMatrix::new(2);
+    for (i, &proc) in p.iter().enumerate() {
+        m.add(proc, ObjectId((i % 2) as u32), 6, 2);
+    }
+    let mut pl = hbn_load::Placement::new(2);
+    pl.add_copy(ObjectId(0), p[0]);
+    pl.add_copy(ObjectId(1), p[1]);
+    pl.nearest_assignment(&net, &m);
+    let mut overlay = CapacityOverlay::pristine(net.n_nodes()).with_outage_slots(25);
+    overlay.set_down(net.root());
+    assert_exact_agrees(
+        &mut SimWorkspace::new(),
+        &net,
+        &m,
+        &pl,
+        &expand(&m),
+        SimConfig::default(),
+        Some(&overlay),
+        "outage drain",
+    );
+}
+
+/// Error paths under an overlay: `SlotBudgetExceeded` raised *while an
+/// outage is active* (the down root grants no tokens, so nothing can
+/// cross before the budget runs out), the unrouted-request error with
+/// the same first offender, and an empty trace's zero result.
+#[test]
+fn kernels_agree_on_error_paths_under_outage() {
+    let net = star(4, 100);
+    let p = net.processors();
+    let mut m = AccessMatrix::new(1);
+    m.add(p[0], ObjectId(0), 20, 0);
+    let pl = hbn_load::Placement::single_leaf(&net, &m, |_| p[1]);
+    let trace = expand(&m);
+    let mut ws = SimWorkspace::new();
+
+    let mut overlay = CapacityOverlay::pristine(net.n_nodes()).with_outage_slots(1_000);
+    overlay.set_down(net.root());
+    let budget = SimConfig { injection_rate: 1, max_slots: 100 };
+    assert_eq!(
+        simulate_with_overlay(&mut ws, &net, &m, &pl, &trace, budget, &overlay),
+        Err(SimError::SlotBudgetExceeded),
+        "exact overlay+budget"
+    );
+    assert_exact_agrees(&mut ws, &net, &m, &pl, &trace, budget, Some(&overlay), "overlay+budget");
+
+    let empty = hbn_load::Placement::new(1);
+    let cfg = SimConfig::default();
+    assert_exact_agrees(&mut ws, &net, &m, &empty, &trace, cfg, Some(&overlay), "unrouted");
+
+    let res = simulate_with_overlay(&mut ws, &net, &m, &pl, &[], cfg, &overlay).unwrap();
+    assert_eq!(res.makespan, 0);
+    assert_eq!(res.delivered_requests, 0);
+    assert_exact_agrees(&mut ws, &net, &m, &pl, &[], cfg, Some(&overlay), "empty trace");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Proptest-generated batches: random tree, random workload, random
+    /// injection rate, random overlay-or-not — the exact kernel tracks
+    /// the reference bit for bit.
+    #[test]
+    fn exact_matches_reference(
+        buses in 1usize..6,
+        procs in 3usize..14,
+        objects in 1usize..5,
+        net_seed in any::<u64>(),
+        wl_seed in any::<u64>(),
+        rate in 1usize..6,
+        fault in any::<bool>(),
+        outage in 1u64..30,
+    ) {
+        let mut rng = StdRng::seed_from_u64(net_seed);
+        let net = random_network(
+            buses,
+            procs.max(buses * 2),
+            BandwidthProfile::Uniform,
+            &mut rng,
+        );
+        let m = workload_from_seed(&net, objects, 6, 3, 0.7, wl_seed);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand(&m);
+        let cfg = SimConfig { injection_rate: rate, ..SimConfig::default() };
+        let overlay = fault.then(|| {
+            random_overlay(&net, outage, 0.3, 0.2, &mut StdRng::seed_from_u64(wl_seed ^ 0xfa17))
+        });
+        let mut ws = SimWorkspace::new();
+        let (exact, naive) = match &overlay {
+            None => (
+                simulate_with(&mut ws, &net, &m, &out.placement, &trace, cfg),
+                simulate_reference(&net, &m, &out.placement, &trace, cfg),
+            ),
+            Some(o) => (
+                simulate_with_overlay(&mut ws, &net, &m, &out.placement, &trace, cfg, o),
+                simulate_reference_overlay(&net, &m, &out.placement, &trace, cfg, o),
+            ),
+        };
+        prop_assert_eq!(exact, naive);
+    }
 }
