@@ -2,7 +2,6 @@
 //!
 //! * max-slack (heap) vs first-fit free-edge selection in the downwards
 //!   phase of the mapping algorithm;
-//! * sequential vs parallel per-object steps 1–2;
 //! * exact-rational vs float congestion comparison.
 
 #![warn(missing_docs)]
@@ -28,25 +27,9 @@ fn bench_edge_policy(c: &mut Criterion) {
         let strat = ExtendedNibble {
             options: ExtendedNibbleOptions {
                 mapping: MappingOptions { edge_policy: policy, ..Default::default() },
-                threads: 0,
             },
         };
         group.bench_function(name, |b| b.iter(|| black_box(strat.place(&net, &m).unwrap())));
-    }
-    group.finish();
-}
-
-fn bench_parallel_objects(c: &mut Criterion) {
-    let net = balanced(4, 3, BandwidthProfile::Uniform);
-    let mut rng = StdRng::seed_from_u64(7);
-    let m = wgen::zipf_read_mostly(&net, 512, 20_000, 0.9, 0.3, &mut rng);
-    let mut group = c.benchmark_group("parallel_objects");
-    for threads in [1usize, 4] {
-        let strat =
-            ExtendedNibble { options: ExtendedNibbleOptions { threads, ..Default::default() } };
-        group.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| black_box(strat.place(&net, &m).unwrap()))
-        });
     }
     group.finish();
 }
@@ -76,5 +59,5 @@ fn bench_congestion_arithmetic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_edge_policy, bench_parallel_objects, bench_congestion_arithmetic);
+criterion_group!(benches, bench_edge_policy, bench_congestion_arithmetic);
 criterion_main!(benches);

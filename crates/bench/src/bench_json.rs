@@ -6,6 +6,7 @@
 //! hand-rolled — the workspace intentionally has no serde_json — and
 //! emits a flat, diff-friendly layout.
 
+use hbn_server::percentile;
 use std::io::Write as _;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -659,8 +660,7 @@ pub struct DynamicBenchRecord {
     pub requests: usize,
     /// Replication threshold `D`.
     pub threshold_d: u64,
-    /// Which kernel ran (`workspace`, `reference`,
-    /// `workspace-sharded(xN)`).
+    /// Which kernel ran (`workspace` or `reference`).
     pub kernel: String,
     /// Wall-clock seconds for the serve loop.
     pub wall_seconds: f64,
@@ -804,17 +804,6 @@ pub struct ServerRecoveryRecord {
     pub recovery_micros: u64,
 }
 
-/// Nearest-rank percentile over `u64` samples (0 on empty input).
-fn percentile_u64(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Render the server service-level document (EXP-SERVER).
 pub fn render_server_json(load: &[ServerLoadRecord], recovery: &[ServerRecoveryRecord]) -> String {
     let emitted_at = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
@@ -831,8 +820,8 @@ pub fn render_server_json(load: &[ServerLoadRecord], recovery: &[ServerRecoveryR
     out.push_str(&format!("  \"emitted_at_unix\": {emitted_at},\n"));
     out.push_str(&format!("  \"all_restores_exact\": {all_equal},\n"));
     out.push_str(&format!("  \"graceful_under_overload\": {graceful},\n"));
-    out.push_str(&format!("  \"recovery_p50_micros\": {},\n", percentile_u64(&rec_micros, 50.0)));
-    out.push_str(&format!("  \"recovery_p99_micros\": {},\n", percentile_u64(&rec_micros, 99.0)));
+    out.push_str(&format!("  \"recovery_p50_micros\": {},\n", percentile(&rec_micros, 50.0)));
+    out.push_str(&format!("  \"recovery_p99_micros\": {},\n", percentile(&rec_micros, 99.0)));
     out.push_str("  \"load_windows\": [\n");
     for (i, r) in load.iter().enumerate() {
         out.push_str(&format!(

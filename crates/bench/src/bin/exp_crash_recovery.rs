@@ -77,7 +77,6 @@ fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
         .threshold(THRESHOLD)
         .seed(4700 + idx as u64)
         .epoch_requests(epoch_requests)
-        .serve_shards(1)
         .faults(plan)
         .build();
     (spec, kill_epoch)

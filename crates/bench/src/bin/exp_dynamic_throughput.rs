@@ -1,9 +1,8 @@
 //! EXP-DYNT — serve-loop throughput of the online read-replicate /
 //! write-collapse strategy: the zero-allocation `DynamicWorkspace` kernel
 //! against the retained naive `serve_reference`, at `balanced(4,3)`
-//! (64 processors) scale and above, plus the object-sharded fan-out the
-//! scenario engine uses. The two kernels are asserted to agree (loads,
-//! stats, congestion) on every instance — the differential suite, run in
+//! (64 processors) scale and above. The two kernels are asserted to agree
+//! (loads, stats, congestion) on every instance — the differential suite, run in
 //! anger at full volume.
 //!
 //! Two workload regimes are measured:
@@ -25,10 +24,7 @@
 #![warn(missing_docs)]
 
 use hbn_bench::{emit_dynamic_json, exp_quick, DynamicBenchRecord, Table};
-use hbn_dynamic::{
-    online_trace, DynamicStats, DynamicTree, DynamicWorkspace, OnlineRequest, ShardedDynamic,
-};
-use hbn_load::LoadMap;
+use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, DynamicWorkspace, OnlineRequest};
 use hbn_topology::generators::{balanced, star, BandwidthProfile};
 use hbn_topology::Network;
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
@@ -195,32 +191,6 @@ fn main() {
         if inst.headline {
             speedup = Some(ref_secs / fast_secs.max(1e-12));
         }
-
-        // Object-sharded fan-out — the exact type the scenario engine
-        // serves through; merged results equal the unsharded run.
-        let mut sharded = ShardedDynamic::new(&inst.net, inst.max_objects, inst.threshold, 0);
-        let n_shards = sharded.n_shards();
-        let start = Instant::now();
-        sharded.serve_trace(&inst.net, &inst.reqs);
-        let shard_secs = start.elapsed().as_secs_f64();
-        let mut merged = LoadMap::zero(&inst.net);
-        sharded.add_loads_to(&mut merged);
-        let stats = sharded.stats();
-        assert_eq!(&merged, fast.loads(), "sharded merge diverged on {}", inst.label);
-        assert_eq!(stats, fast.stats());
-        let rec = record(&inst, &format!("workspace-sharded(x{n_shards})"), stats, shard_secs);
-        t.row([
-            inst.label.clone(),
-            inst.net.n_processors().to_string(),
-            inst.reqs.len().to_string(),
-            inst.threshold.to_string(),
-            rec.kernel.clone(),
-            format!("{:.2}", shard_secs * 1e3),
-            format!("{:.0}", rec.requests_per_sec()),
-            rec.replications.to_string(),
-            rec.collapses.to_string(),
-        ]);
-        records.push(rec);
     }
 
     println!("{}", t.render());
@@ -233,9 +203,7 @@ fn main() {
          O(|R|) per read while the generation stamps answer in O(1), and each\n\
          write's O(n) counter memset + allocating Steiner broadcast collapses\n\
          to a generation bump + O(|R|) induced-edge walk. The mixed tour is\n\
-         bounded by the shared path-walk cost and shows a smaller ratio.\n\
-         Sharding scales the serve loop across cores with bit-identical\n\
-         merged results (one shard on single-core builders).\n"
+         bounded by the shared path-walk cost and shows a smaller ratio.\n"
     );
 
     match emit_dynamic_json("BENCH_dynamic.json", &records, speedup) {

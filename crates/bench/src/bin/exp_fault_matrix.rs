@@ -129,7 +129,6 @@ fn main() {
                     .threshold(THRESHOLD)
                     .seed(cell_seed)
                     .epoch_requests(epoch_requests)
-                    .serve_shards(1)
                     .build();
             let clean = run(&clean_spec, kind);
 

@@ -60,22 +60,8 @@ fn main() {
     }
     println!("{}", t.render());
 
-    // (d) Parallel steps 1-2 over objects.
-    let net = balanced(4, 3, BandwidthProfile::Uniform);
-    let m = wgen::zipf_read_mostly(&net, 1600, 64_000, 0.9, 0.3, &mut rng);
-    let mut t = Table::new(["threads", "time (ms)"]);
-    for threads in [1usize, 2, 4, 8] {
-        let strat = ExtendedNibble {
-            options: hbn_core::ExtendedNibbleOptions { threads, ..Default::default() },
-        };
-        let start = Instant::now();
-        let out = strat.place(&net, &m).unwrap();
-        std::hint::black_box(out);
-        t.row([threads.to_string(), format!("{:.2}", start.elapsed().as_secs_f64() * 1e3)]);
-    }
-    println!("{}", t.render());
     println!(
         "Expected shape: (a) linear in |X|; (b) near-linear in |V|;\n\
-         (c) grows with height; (d) speedup from parallel per-object steps."
+         (c) grows with height."
     );
 }

@@ -2,7 +2,7 @@
 //! of `hbn_workload::phases` crossed with several topology families, each
 //! cell run across independent seed shards (rayon). Each run streams the
 //! phase schedule through the online read-replicate / write-collapse
-//! strategy (zero-allocation workspace serve kernel, object-sharded) and
+//! strategy (zero-allocation workspace serve kernel) and
 //! replays every epoch on the zero-allocation packet simulator, so the
 //! numbers below exercise the paper's actual pipeline: online traffic →
 //! dynamic placement → congestion → completion time.

@@ -112,7 +112,6 @@ fn main() {
                 .threshold(THRESHOLD)
                 .seed(seed)
                 .epoch_requests(epoch_requests)
-                .serve_shards(1)
                 .build();
                 let factory = build_strategy(kind);
 

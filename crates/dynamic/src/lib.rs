@@ -45,11 +45,9 @@
 #![warn(missing_docs)]
 
 pub mod competitive;
-pub mod sharded;
 pub mod strategy;
 pub mod workspace;
 
 pub use competitive::{run_competitive, CompetitiveReport};
-pub use sharded::ShardedDynamic;
 pub use strategy::{online_trace, DynamicStats, DynamicTree, ObjectExport, OnlineRequest};
 pub use workspace::DynamicWorkspace;

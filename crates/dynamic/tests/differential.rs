@@ -84,10 +84,9 @@ fn internal_and_external_workspaces_agree() {
 
 #[test]
 fn object_sharded_serving_merges_exactly() {
-    // The scenario engine's shard-and-merge invariant at the strategy
-    // level: objects are independent, so partitioning them across
-    // strategies and summing the per-shard loads/stats reproduces the
-    // unsharded run bit for bit.
+    // Per-object independence at the strategy level (`DESIGN.md` §5.3):
+    // partitioning objects across strategies and summing the per-part
+    // loads/stats reproduces the whole run bit for bit.
     let net = caterpillar(5, 2, BandwidthProfile::Uniform);
     let (_, schedule) = family_schedules(12, 80, 500).swap_remove(1); // hotspot-migration
     let requests = online_trace(&net, &schedule, 31);

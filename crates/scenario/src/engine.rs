@@ -21,11 +21,10 @@
 //! wrappers over [`crate::Session`] — `run_scenario` is `Session::new`
 //! stepped to exhaustion, pinned bit-for-bit to the pre-session engine
 //! by the differential suite. Independent seeds shard across cores via
-//! [`run_scenario_sharded`]; *within* one run the serve loop additionally
-//! shards by object (objects are independent, so per-shard strategies and
-//! load maps merge exactly — see `DESIGN.md` §5), and all per-epoch
-//! bookkeeping runs through preallocated delta accumulators instead of
-//! cloning the strategy's cumulative load map every epoch.
+//! [`run_scenario_sharded`]; *within* one run everything runs on the
+//! calling thread, and all per-epoch bookkeeping runs through
+//! preallocated delta accumulators instead of cloning the strategy's
+//! cumulative load map every epoch.
 
 use crate::session::Session;
 use crate::spec::{ExecutionConfig, ScenarioSpec};
@@ -321,24 +320,11 @@ pub fn try_run_scenario_with(
     Ok(session.into_report())
 }
 
-/// Pin an unset serve-shard count (`0` = auto) to `1` for a seed shard:
-/// seed shards already occupy the worker pool, so nested object-sharding
-/// would only oversubscribe. Reports are identical either way (they are
-/// invariant in the shard count).
-fn seed_shard_spec(spec: &ScenarioSpec, seed: u64) -> ScenarioSpec {
-    let mut shard = spec.clone();
-    shard.seed = seed;
-    if shard.exec.serve_shards == 0 {
-        shard.exec.serve_shards = 1;
-    }
-    shard
-}
-
 /// Run the same scenario across many seeds, sharded over cores with
 /// rayon. Each shard is fully independent (own network, strategy and
 /// simulator workspace); reports come back in seed order.
 pub fn run_scenario_sharded(spec: &ScenarioSpec, seeds: &[u64]) -> Vec<ScenarioReport> {
-    seeds.par_iter().map(|&seed| run_scenario(&seed_shard_spec(spec, seed))).collect()
+    seeds.par_iter().map(|&seed| run_scenario(&ScenarioSpec { seed, ..spec.clone() })).collect()
 }
 
 /// [`run_scenario_sharded`] under a caller-built [`Strategy`]: the
@@ -350,7 +336,7 @@ pub fn run_scenario_sharded_with(
 ) -> Vec<ScenarioReport> {
     seeds
         .par_iter()
-        .map(|&seed| run_scenario_with(&seed_shard_spec(spec, seed), &factory))
+        .map(|&seed| run_scenario_with(&ScenarioSpec { seed, ..spec.clone() }, &factory))
         .collect()
 }
 

@@ -481,7 +481,7 @@ pub struct Session {
     /// Per-tenant request counts under the same partition.
     tenant_requests: Vec<u64>,
     // Two parallel views of the epoch's requests: the simulator replay
-    // needs a `&[Request]` slice and the sharded serve fan-out a
+    // needs a `&[Request]` slice and the strategy's serve loop a
     // `&[OnlineRequest]` slice. The structs are field-identical but live
     // in crates that must not depend on each other, so the cheapest
     // correct form is two reused Copy buffers filled side by side.

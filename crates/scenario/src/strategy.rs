@@ -21,7 +21,7 @@ use crate::durable::{put_f64, put_loads, put_nodes, put_stats, put_u32, put_u64,
 use crate::faults::FaultView;
 use crate::spec::{ExecutionConfig, ServeKernel, StrategyKind};
 use hbn_core::PlacementKernel;
-use hbn_dynamic::{DynamicStats, DynamicTree, ObjectExport, OnlineRequest, ShardedDynamic};
+use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest};
 use hbn_load::{nearest_copy_map, LoadMap, Placement};
 use hbn_topology::{EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -269,7 +269,7 @@ fn harbor_processor(net: &Network, view: &FaultView, anchor: NodeId) -> Option<N
 /// `D`-sized repair transfers — always a subset of `replications`, so
 /// `migration_traffic = replications × D` keeps holding.
 fn heal_dynamic(
-    kernel: &mut DynKernel,
+    kernel: &mut DynamicTree,
     net: &Network,
     view: &FaultView,
     d: u64,
@@ -331,135 +331,34 @@ fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement
     }
 }
 
-/// The dynamic-strategy serve kernel of one run: the object-sharded
-/// workspace kernel ([`hbn_dynamic::ShardedDynamic`]) or the unsharded
+/// Serve one epoch's requests on `tree`, in trace order, through the
+/// kernel `serve` names: the zero-allocation workspace kernel or the
 /// naive reference kernel.
-#[derive(Debug, Clone)]
-pub(crate) enum DynKernel {
-    Sharded(ShardedDynamic),
-    Reference(DynamicTree),
+fn serve_trace(tree: &mut DynamicTree, serve: ServeKernel, net: &Network, trace: &[OnlineRequest]) {
+    match serve {
+        ServeKernel::Workspace => {
+            for &req in trace {
+                tree.serve(net, req);
+            }
+        }
+        ServeKernel::Reference => {
+            for &req in trace {
+                tree.serve_reference(net, req);
+            }
+        }
+    }
 }
 
-impl DynKernel {
-    pub(crate) fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynKernel {
-        match exec.serve {
-            ServeKernel::Workspace => DynKernel::Sharded(ShardedDynamic::new(
-                net,
-                max_objects,
-                exec.threshold,
-                exec.serve_shards,
-            )),
-            // The reference kernel is the unsharded timing/semantics
-            // baseline.
-            ServeKernel::Reference => {
-                DynKernel::Reference(DynamicTree::new(net, max_objects, exec.threshold))
-            }
-        }
-    }
-
-    /// Serve one epoch's requests, in trace order.
-    fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.serve_trace(net, trace),
-            DynKernel::Reference(tree) => {
-                for &req in trace {
-                    tree.serve_reference(net, req);
-                }
-            }
-        }
-    }
-
-    /// Current copy nodes of `x`.
-    fn replicas(&self, x: ObjectId) -> &[NodeId] {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.replicas(x),
-            DynKernel::Reference(tree) => tree.replicas(x),
-        }
-    }
-
-    /// Replace the replica set of `x` (hybrid seeding).
-    fn seed_replicas(&mut self, net: &Network, x: ObjectId, nodes: &[NodeId]) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.seed_replicas(net, x, nodes),
-            DynKernel::Reference(tree) => tree.seed_replicas(net, x, nodes),
-        }
-    }
-
-    /// Sum the cumulative loads into `out` (on top of what it holds).
-    fn add_loads_to(&self, out: &mut LoadMap) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.add_loads_to(out),
-            DynKernel::Reference(tree) => out.add_assign(tree.loads()),
-        }
-    }
-
-    /// Event counters.
-    fn stats(&self) -> DynamicStats {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.stats(),
-            DynKernel::Reference(tree) => tree.stats(),
-        }
-    }
-
-    /// Number of objects the kernel was constructed for.
-    fn n_objects(&self) -> usize {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.n_objects(),
-            DynKernel::Reference(tree) => tree.n_objects(),
-        }
-    }
-
-    /// Export the live state of `x` (replicas + live edge counters) for
-    /// durable serialization.
-    fn export_object(&self, x: ObjectId) -> Option<ObjectExport> {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.export_object(x),
-            DynKernel::Reference(tree) => tree.export_object(x),
-        }
-    }
-
-    /// Rebuild the state of `x` from an export.
-    fn restore_object(
-        &mut self,
-        net: &Network,
-        x: ObjectId,
-        replicas: &[NodeId],
-        counters: &[(EdgeId, u64)],
-    ) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.restore_object(net, x, replicas, counters),
-            DynKernel::Reference(tree) => tree.restore_object(net, x, replicas, counters),
-        }
-    }
-
-    /// The merged cumulative loads and counters, as owned values (for
-    /// durable serialization, which has no network handy for a scratch
-    /// map).
-    fn export_accounting(&self) -> (LoadMap, DynamicStats) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.export_accounting(),
-            DynKernel::Reference(tree) => (tree.loads().clone(), tree.stats()),
-        }
-    }
-
-    /// Install restored accounting totals.
-    fn restore_accounting(&mut self, loads: LoadMap, stats: DynamicStats) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.restore_accounting(loads, stats),
-            DynKernel::Reference(tree) => tree.restore_accounting(loads, stats),
-        }
-    }
-
-    /// Adopt a predecessor's copy sets: each non-empty set is seeded as
-    /// its connected closure (the dynamic tree's structural invariant).
-    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        for i in 0..max_objects {
-            let x = ObjectId(i as u32);
-            let copies = prior.copy_set(x);
-            if !copies.is_empty() {
-                let closure = connected_closure(net, copies);
-                self.seed_replicas(net, x, &closure);
-            }
+/// Adopt a predecessor's copy sets into `tree`: each non-empty set is
+/// seeded as its connected closure (the dynamic tree's structural
+/// invariant).
+fn adopt_dynamic(tree: &mut DynamicTree, net: &Network, prior: &dyn Strategy, max_objects: usize) {
+    for i in 0..max_objects {
+        let x = ObjectId(i as u32);
+        let copies = prior.copy_set(x);
+        if !copies.is_empty() {
+            let closure = connected_closure(net, copies);
+            tree.seed_replicas(net, x, &closure);
         }
     }
 }
@@ -593,7 +492,9 @@ impl StaticCore {
 /// replications the kernel performs.
 #[derive(Debug, Clone)]
 pub struct DynamicStrategy {
-    kernel: DynKernel,
+    kernel: DynamicTree,
+    /// Which kernel serves the stream.
+    serve: ServeKernel,
     /// Migration charge unit `D` (for outage repair fetches).
     threshold: u64,
     /// Loads charged by outage self-healing (the kernel owns its own
@@ -605,7 +506,7 @@ pub struct DynamicStrategy {
 
 impl DynamicStrategy {
     /// A fresh dynamic strategy on `net` for `max_objects` objects,
-    /// using the serve kernel and shard count of `exec`.
+    /// using the serve kernel of `exec`.
     ///
     /// ```
     /// use hbn_scenario::{DynamicStrategy, ExecutionConfig, Strategy};
@@ -617,7 +518,8 @@ impl DynamicStrategy {
     /// ```
     pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicStrategy {
         DynamicStrategy {
-            kernel: DynKernel::new(net, exec, max_objects),
+            kernel: DynamicTree::new(net, max_objects, exec.threshold),
+            serve: exec.serve,
             threshold: exec.threshold,
             heal_loads: LoadMap::zero(net),
             heal_stats: DynamicStats::default(),
@@ -650,7 +552,7 @@ impl Strategy for DynamicStrategy {
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], _matrix: &AccessMatrix) {
-        self.kernel.serve_trace(net, trace);
+        serve_trace(&mut self.kernel, self.serve, net, trace);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
@@ -658,7 +560,7 @@ impl Strategy for DynamicStrategy {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.kernel.add_loads_to(out);
+        out.add_assign(self.kernel.loads());
         out.add_assign(&self.heal_loads);
     }
 
@@ -667,7 +569,7 @@ impl Strategy for DynamicStrategy {
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.kernel.adopt(net, prior, max_objects);
+        adopt_dynamic(&mut self.kernel, net, prior, max_objects);
     }
 
     fn snapshot(&self) -> Box<dyn Strategy> {
@@ -725,7 +627,7 @@ impl PeriodicStatic {
     ) -> PeriodicStatic {
         PeriodicStatic {
             core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             threshold: exec.threshold,
             replace_every_epochs,
             first_fire: None,
@@ -863,7 +765,9 @@ impl Strategy for PeriodicStatic {
 /// boundaries requests are served online.
 #[derive(Debug, Clone)]
 pub struct HybridReseed {
-    dynamic: DynKernel,
+    dynamic: DynamicTree,
+    /// Which kernel serves the stream between re-seeds.
+    serve: ServeKernel,
     kernel: PlacementKernel,
     /// Migration charges of the re-seeds (the dynamic kernel owns its
     /// own loads).
@@ -896,8 +800,9 @@ impl HybridReseed {
         reseed_every_epochs: usize,
     ) -> HybridReseed {
         HybridReseed {
-            dynamic: DynKernel::new(net, exec, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            dynamic: DynamicTree::new(net, max_objects, exec.threshold),
+            serve: exec.serve,
+            kernel: PlacementKernel::new(net),
             migration_loads: LoadMap::zero(net),
             seed_stats: DynamicStats::default(),
             threshold: exec.threshold,
@@ -978,7 +883,7 @@ impl Strategy for HybridReseed {
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], _matrix: &AccessMatrix) {
-        self.dynamic.serve_trace(net, trace);
+        serve_trace(&mut self.dynamic, self.serve, net, trace);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
@@ -986,7 +891,7 @@ impl Strategy for HybridReseed {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.dynamic.add_loads_to(out);
+        out.add_assign(self.dynamic.loads());
         out.add_assign(&self.migration_loads);
     }
 
@@ -995,7 +900,7 @@ impl Strategy for HybridReseed {
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.dynamic.adopt(net, prior, max_objects);
+        adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
     }
 
     fn snapshot(&self) -> Box<dyn Strategy> {
@@ -1046,7 +951,7 @@ impl FrozenStatic {
     pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> FrozenStatic {
         FrozenStatic {
             core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             threshold: exec.threshold,
         }
     }
@@ -1123,7 +1028,9 @@ impl Strategy for FrozenStatic {
 /// policy is a frozen static placement.
 #[derive(Debug, Clone)]
 pub struct ThresholdSwitch {
-    dynamic: DynKernel,
+    dynamic: DynamicTree,
+    /// Which kernel serves the stream until the switch.
+    serve: ServeKernel,
     core: StaticCore,
     kernel: PlacementKernel,
     threshold: u64,
@@ -1156,9 +1063,10 @@ impl ThresholdSwitch {
         min_epochs: usize,
     ) -> ThresholdSwitch {
         ThresholdSwitch {
-            dynamic: DynKernel::new(net, exec, max_objects),
+            dynamic: DynamicTree::new(net, max_objects, exec.threshold),
+            serve: exec.serve,
             core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             threshold: exec.threshold,
             write_bound,
             min_epochs,
@@ -1226,7 +1134,7 @@ impl Strategy for ThresholdSwitch {
         if self.switched {
             self.core.serve_batch(net, &mut self.kernel, trace, epoch_matrix);
         } else {
-            self.dynamic.serve_trace(net, trace);
+            serve_trace(&mut self.dynamic, self.serve, net, trace);
         }
     }
 
@@ -1245,7 +1153,7 @@ impl Strategy for ThresholdSwitch {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.dynamic.add_loads_to(out);
+        out.add_assign(self.dynamic.loads());
         out.add_assign(&self.core.loads);
     }
 
@@ -1254,7 +1162,7 @@ impl Strategy for ThresholdSwitch {
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.dynamic.adopt(net, prior, max_objects);
+        adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
     }
 
     fn snapshot(&self) -> Box<dyn Strategy> {
@@ -1307,9 +1215,9 @@ impl StrategyKind {
 
 // --- durable strategy codec -------------------------------------------
 //
-// Tag byte + policy state. The serve-kernel variant of a [`DynKernel`]
-// is *not* encoded — it is an execution detail reconstructed from
-// `exec.serve`, which the spec fingerprint pins to the saved run.
+// Tag byte + policy state. The serve kernel of a dynamic tree is *not*
+// encoded — it is an execution detail reconstructed from `exec.serve`,
+// which the spec fingerprint pins to the saved run.
 
 const TAG_DYNAMIC: u8 = 1;
 const TAG_PERIODIC_STATIC: u8 = 2;
@@ -1317,7 +1225,7 @@ const TAG_HYBRID: u8 = 3;
 const TAG_FROZEN_STATIC: u8 = 4;
 const TAG_THRESHOLD_SWITCH: u8 = 5;
 
-fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynKernel) {
+fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynamicTree) {
     let n = kernel.n_objects();
     put_u64(out, n as u64);
     for i in 0..n {
@@ -1335,9 +1243,8 @@ fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynKernel) {
             }
         }
     }
-    let (loads, stats) = kernel.export_accounting();
-    put_loads(out, &loads);
-    put_stats(out, stats);
+    put_loads(out, kernel.loads());
+    put_stats(out, kernel.stats());
 }
 
 fn check_nodes(nodes: &[NodeId], net: &Network) -> Result<(), String> {
@@ -1352,12 +1259,12 @@ fn read_dyn_kernel(
     net: &Network,
     exec: &ExecutionConfig,
     max_objects: usize,
-) -> Result<DynKernel, String> {
+) -> Result<DynamicTree, String> {
     let n = dec.u64()? as usize;
     if n != max_objects {
         return Err(format!("kernel of {n} objects, expected {max_objects}"));
     }
-    let mut kernel = DynKernel::new(net, exec, max_objects);
+    let mut kernel = DynamicTree::new(net, max_objects, exec.threshold);
     for i in 0..n {
         if dec.u8()? == 0 {
             continue;
@@ -1438,7 +1345,13 @@ pub(crate) fn strategy_from_durable(
             let kernel = read_dyn_kernel(&mut dec, net, exec, max_objects)?;
             let heal_loads = dec.loads(net)?;
             let heal_stats = dec.stats()?;
-            Box::new(DynamicStrategy { kernel, threshold: exec.threshold, heal_loads, heal_stats })
+            Box::new(DynamicStrategy {
+                kernel,
+                serve: exec.serve,
+                threshold: exec.threshold,
+                heal_loads,
+                heal_stats,
+            })
         }
         TAG_PERIODIC_STATIC => {
             let core = read_static_core(&mut dec, net, max_objects)?;
@@ -1451,7 +1364,7 @@ pub(crate) fn strategy_from_durable(
             };
             Box::new(PeriodicStatic {
                 core,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 threshold,
                 replace_every_epochs,
                 first_fire,
@@ -1465,7 +1378,8 @@ pub(crate) fn strategy_from_durable(
             let reseed_every_epochs = dec.u64()? as usize;
             Box::new(HybridReseed {
                 dynamic,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
+                serve: exec.serve,
+                kernel: PlacementKernel::new(net),
                 migration_loads,
                 seed_stats,
                 threshold,
@@ -1475,11 +1389,7 @@ pub(crate) fn strategy_from_durable(
         TAG_FROZEN_STATIC => {
             let core = read_static_core(&mut dec, net, max_objects)?;
             let threshold = dec.u64()?;
-            Box::new(FrozenStatic {
-                core,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
-                threshold,
-            })
+            Box::new(FrozenStatic { core, kernel: PlacementKernel::new(net), threshold })
         }
         TAG_THRESHOLD_SWITCH => {
             let dynamic = read_dyn_kernel(&mut dec, net, exec, max_objects)?;
@@ -1494,8 +1404,9 @@ pub(crate) fn strategy_from_durable(
             };
             Box::new(ThresholdSwitch {
                 dynamic,
+                serve: exec.serve,
                 core,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 threshold,
                 write_bound,
                 min_epochs,

@@ -9,8 +9,8 @@
 //!    report, bit for bit.
 //! 2. **Request-volume accounting** — the report serves exactly the
 //!    scheduled volume, epochs partition it, and reads + writes = total.
-//! 3. **Serve-kernel / shard invariance** — the workspace and reference
-//!    serve kernels, at any shard count, yield the identical report.
+//! 3. **Serve-kernel invariance** — the workspace and reference serve
+//!    kernels yield the identical report.
 //! 4. **Replay-kernel parity** — the exact replay kernel equals the
 //!    reference kernel, heterogeneous capacities included.
 //! 5. **Estimator bounds** — under the estimator kernel the bounds are
@@ -150,9 +150,9 @@ fn every_family_is_deterministic_and_accounts_its_volume() {
     }
 }
 
-/// Invariant 3: the serve kernel and its shard count are pure execution
-/// detail — workspace (sharded or not) and reference yield the identical
-/// report on every family, heterogeneous capacities included.
+/// Invariant 3: the serve kernel is pure execution detail — workspace
+/// and reference yield the identical report on every family,
+/// heterogeneous capacities included.
 #[test]
 fn every_family_is_serve_kernel_and_shard_invariant() {
     for (family, schedule) in family_schedules(OBJECTS, WARMUP, VOLUME) {
@@ -162,19 +162,11 @@ fn every_family_is_serve_kernel_and_shard_invariant() {
             let reference = {
                 let mut s = base.clone();
                 s.exec.serve = ServeKernel::Reference;
-                s.exec.serve_shards = 0;
                 run_scenario(&s)
             };
-            for shards in [1usize, 3] {
-                let mut s = base.clone();
-                s.exec.serve = ServeKernel::Workspace;
-                s.exec.serve_shards = shards;
-                assert_eq!(
-                    run_scenario(&s),
-                    reference,
-                    "{cell}: workspace/{shards} shards vs reference"
-                );
-            }
+            let mut s = base.clone();
+            s.exec.serve = ServeKernel::Workspace;
+            assert_eq!(run_scenario(&s), reference, "{cell}: workspace vs reference");
         }
     }
 }

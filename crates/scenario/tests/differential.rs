@@ -36,26 +36,13 @@ fn workspace_and_reference_kernels_agree_on_every_epoch() {
 
 #[test]
 fn workspace_and_reference_serve_kernels_agree_end_to_end() {
-    // The online-strategy side of the pipeline: the sharded
-    // zero-allocation serve kernel and the unsharded naive reference
-    // kernel must yield identical reports — online congestion deltas,
+    // The online-strategy side of the pipeline: the zero-allocation
+    // serve kernel and the naive reference kernel must yield identical reports — online congestion deltas,
     // replica snapshots (and therefore every replay metric), stats.
     let ws_spec = small_spec();
     let mut ref_spec = small_spec();
     ref_spec.exec.serve = ServeKernel::Reference;
     assert_eq!(run_scenario(&ws_spec), run_scenario(&ref_spec));
-}
-
-#[test]
-fn reports_are_invariant_under_serve_shard_count() {
-    let mut one = small_spec();
-    one.exec.serve_shards = 1;
-    let baseline = run_scenario(&one);
-    for shards in [2usize, 3, 5, 16] {
-        let mut spec = small_spec();
-        spec.exec.serve_shards = shards;
-        assert_eq!(run_scenario(&spec), baseline, "{shards} serve shards");
-    }
 }
 
 #[test]

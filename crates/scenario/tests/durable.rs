@@ -210,6 +210,14 @@ fn foreign_files_are_rejected_by_kind() {
     let vpath = tmp("version_flip.hbnc");
     std::fs::write(&vpath, &flipped).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &vpath), Err(RestoreError::BadVersion(_))));
+    // A frame of the previous format (v3, whose spec fingerprint still
+    // covered the serve-shard count) gets the precise version error, not
+    // a spec mismatch.
+    let mut v3 = bytes.clone();
+    v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+    let v3path = tmp("version_3.hbnc");
+    std::fs::write(&v3path, &v3).unwrap();
+    assert!(matches!(Session::restore_from_file(&spec, &v3path), Err(RestoreError::BadVersion(3))));
     // Corrupting the payload instead trips the checksum.
     let mut payload_flip = bytes.clone();
     let mid = 16 + (bytes.len() - 24) / 2;

@@ -53,16 +53,13 @@ fn run_with_swap_at(spec: &ScenarioSpec, k: usize) -> ScenarioReport {
 /// `ThresholdSwitch` policy forced to switch at `k` (write bound 0).
 /// Both paths charge the same migration from the same dynamic copy sets
 /// and serve the same static placement afterwards — bit for bit, under
-/// both serve kernels and two shard counts.
+/// both serve kernels.
 #[test]
 fn dynamic_to_static_swap_equals_forced_threshold_switch() {
     let k = 4;
-    for (serve, shards) in
-        [(ServeKernel::Workspace, 1usize), (ServeKernel::Workspace, 3), (ServeKernel::Reference, 0)]
-    {
+    for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
         let mut spec = base_spec(19);
         spec.exec.serve = serve;
-        spec.exec.serve_shards = shards;
         let swapped = run_with_swap_at(&spec, k);
         let switched = run_scenario_with(&spec, |net, exec, n| {
             Box::new(ThresholdSwitch::new(net, exec, n, 0.0, k))
